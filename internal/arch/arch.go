@@ -16,9 +16,11 @@
 //     and the whole-machine serialization of the kernel path.
 //
 // On the Go side, sync/atomic's CompareAndSwapUint32 is the expensive
-// fenced read-modify-write and atomic Load/Store compile to plain moves on
-// x86, so the paper's central cost asymmetry (CAS much more expensive than
-// load/store) is preserved without any artificial delays.
+// fenced read-modify-write and atomic Load compiles to a plain move on
+// x86. Atomic Store does not: it is sequentially consistent, so on amd64
+// it compiles to XCHG, a locked read-modify-write as fenced as a CAS.
+// The paper's cost asymmetry holds between CAS and load, but not between
+// CAS and the unlock's release store.
 package arch
 
 import (

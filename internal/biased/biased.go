@@ -50,11 +50,9 @@ import (
 
 	"thinlock/internal/arch"
 	"thinlock/internal/core"
-	"thinlock/internal/lockdep"
-	"thinlock/internal/lockprof"
+	"thinlock/internal/lockevent"
 	"thinlock/internal/monitor"
 	"thinlock/internal/object"
-	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
 )
 
@@ -286,9 +284,7 @@ func (l *Locker) classFor(class string) *classBias {
 // fence beyond the store itself, and no write to shared memory at all.
 func (l *Locker) Lock(t *threading.Thread, o *object.Object) {
 	l.lockBody(t, o)
-	if d := lockdep.Active(); d != nil {
-		d.Acquired(t, o)
-	}
+	lockevent.Emit(lockevent.KindAcquire, t, o)
 }
 
 func (l *Locker) lockBody(t *threading.Thread, o *object.Object) {
@@ -296,9 +292,7 @@ func (l *Locker) lockBody(t *threading.Thread, o *object.Object) {
 		if d := s.Depth(); d < maxBiasDepth {
 			s.SetDepth(d + 1) // Dekker publish
 			if atomic.LoadUint32(o.HeaderAddr()) == s.Word() || l.mut.SkipOwnerValidation {
-				if tel := telemetry.Active(); tel != nil {
-					tel.Inc(t, telemetry.CtrBiasedAcquires)
-				}
+				lockevent.Count(t, lockevent.CtrBiasedAcquires)
 				return
 			}
 			if l.reconcileLock(t, o, s, d+1) {
@@ -317,9 +311,7 @@ func (l *Locker) lockBody(t *threading.Thread, o *object.Object) {
 func (l *Locker) Unlock(t *threading.Thread, o *object.Object) error {
 	err := l.unlockBody(t, o)
 	if err == nil {
-		if d := lockdep.Active(); d != nil {
-			d.Released(t, o)
-		}
+		lockevent.Emit(lockevent.KindRelease, t, o)
 	}
 	return err
 }
@@ -350,13 +342,10 @@ func (l *Locker) unlockBody(t *threading.Thread, o *object.Object) error {
 // reservation is self-revoked straight to a fat lock; a thin-held
 // object inflates as in the paper.
 func (l *Locker) Wait(t *threading.Thread, o *object.Object, d time.Duration) (bool, error) {
-	if ld := lockdep.Active(); ld != nil {
-		ld.CondWaitBegin(t, o)
-		ok, err := l.waitBody(t, o, d)
-		ld.CondWaitEnd(t, o)
-		return ok, err
-	}
-	return l.waitBody(t, o, d)
+	lockevent.Emit(lockevent.KindWaitBegin, t, o)
+	ok, err := l.waitBody(t, o, d)
+	lockevent.Emit(lockevent.KindWaitEnd, t, o)
+	return ok, err
 }
 
 func (l *Locker) waitBody(t *threading.Thread, o *object.Object, d time.Duration) (bool, error) {
@@ -379,8 +368,7 @@ func (l *Locker) waitBody(t *threading.Thread, o *object.Object, d time.Duration
 			return false, ErrIllegalMonitorState
 		case w&core.TIDMask == t.Shifted():
 			l.inflWait.Add(1)
-			telemetry.Inc(t, telemetry.CtrInflationsWait)
-			lockprof.Inflation(t, o, lockprof.CauseWait)
+			lockevent.Inflate(t, o, lockevent.CauseWait)
 			m := l.inflate(t, o, core.ThinCount(w)+1)
 			return m.Wait(t, d)
 		default:

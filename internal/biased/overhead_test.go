@@ -18,7 +18,7 @@ import (
 // when disabled. Deliberately not parallel: AllocsPerRun reads global
 // allocation counters.
 func TestFastPathZeroAllocWhenProfilingDisabled(t *testing.T) {
-	if telemetry.Enabled() {
+	if telemetry.Active() != nil {
 		t.Fatal("telemetry unexpectedly active")
 	}
 	w := newWorld(t, Options{})

@@ -6,41 +6,21 @@ import (
 
 	"thinlock/internal/arch"
 	"thinlock/internal/core"
-	"thinlock/internal/lockdep"
-	"thinlock/internal/lockprof"
+	"thinlock/internal/lockevent"
 	"thinlock/internal/monitor"
 	"thinlock/internal/object"
-	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
 )
 
 // lockSlow handles everything the biased fast path does not: first
 // acquisitions (reserve or thin-CAS), nested thin locking, revocation
 // of other threads' reservations, inflation, and contention. The
-// telemetry and lockprof wrappers live here, off the fast path, on the
-// same zero-alloc-when-disabled pattern as core.
+// slow-path enter/exit events are raised here, off the fast path, as in
+// core.
 func (l *Locker) lockSlow(t *threading.Thread, o *object.Object) {
-	m := telemetry.Active()
-	p := lockprof.Active()
-	if m == nil && p == nil {
-		l.lockSlowBody(t, o)
-		return
-	}
-	if m != nil {
-		m.Inc(t, telemetry.CtrSlowPathEntries)
-	}
-	if p != nil {
-		p.SlowPathEnter(t, o)
-	}
-	start := telemetry.Now()
+	start := lockevent.SlowEnter(t, o)
 	l.lockSlowBody(t, o)
-	elapsed := telemetry.Now() - start
-	if m != nil {
-		m.Observe(t, telemetry.HistAcquireSlowNs, elapsed)
-	}
-	if p != nil {
-		p.SlowPathExit(t, o, elapsed)
-	}
+	lockevent.SlowExit(t, o, start)
 }
 
 // lockSlowBody is the slow-path state machine proper.
@@ -60,7 +40,7 @@ func (l *Locker) lockSlowBody(t *threading.Thread, o *object.Object) {
 			return
 
 		case core.IsInflated(w):
-			lockdep.Blocked(t, o, lockdep.WaitFat)
+			lockevent.Blocked(t, o, lockevent.WaitFat)
 			l.table.Get(core.FatIndex(w)).Enter(t)
 			return
 
@@ -68,9 +48,8 @@ func (l *Locker) lockSlowBody(t *threading.Thread, o *object.Object) {
 			// Another thread is mid-revocation (possibly of our own
 			// reservation); it owns the word until it publishes the
 			// walked state.
-			lockdep.Blocked(t, o, lockdep.WaitRevocation)
 			l.spinRounds.Add(1)
-			telemetry.Inc(t, telemetry.CtrSpinRounds)
+			lockevent.Spin(t, o, lockevent.WaitRevocation)
 			b.Pause()
 
 		case core.IsBiased(w):
@@ -95,8 +74,7 @@ func (l *Locker) lockSlowBody(t *threading.Thread, o *object.Object) {
 			// next lock would collide with the bias bit, so inflate,
 			// carrying the full nesting depth into the fat lock.
 			l.inflOverflow.Add(1)
-			telemetry.Inc(t, telemetry.CtrInflationsOverflow)
-			lockprof.Inflation(t, o, lockprof.CauseOverflow)
+			lockevent.Inflate(t, o, lockevent.CauseOverflow)
 			l.inflate(t, o, uint32(core.BiasMaxThinCount)+2)
 			return
 
@@ -112,22 +90,19 @@ func (l *Locker) lockSlowBody(t *threading.Thread, o *object.Object) {
 					// has shown contention once will again.
 					l.spinAcq.Add(1)
 					l.inflContention.Add(1)
-					telemetry.Inc(t, telemetry.CtrInflationsContention)
-					lockprof.Inflation(t, o, lockprof.CauseContention)
+					lockevent.Inflate(t, o, lockevent.CauseContention)
 					l.inflate(t, o, 1)
 				}
 				return
 			}
-			telemetry.Inc(t, telemetry.CtrCASFailures)
-			lockprof.CASFailure(t)
+			lockevent.Emit(lockevent.KindCASFail, t, o)
 
 		default:
 			// Thin-locked by another thread: spin with back-off until
 			// the owner releases.
-			lockdep.Blocked(t, o, lockdep.WaitSpin)
 			spun = true
 			l.spinRounds.Add(1)
-			telemetry.Inc(t, telemetry.CtrSpinRounds)
+			lockevent.Spin(t, o, lockevent.WaitSpin)
 			b.Pause()
 		}
 	}
@@ -154,7 +129,7 @@ func (l *Locker) tryInstallBias(t *threading.Thread, o *object.Object, w uint32)
 	s.SetDepth(1)
 	if o.CASHeader(w, nw) {
 		l.biasInstalls.Add(1)
-		telemetry.Inc(t, telemetry.CtrBiasInstalls)
+		lockevent.Count(t, lockevent.CtrBiasInstalls)
 		return true
 	}
 	s.Release()
@@ -176,7 +151,7 @@ func (l *Locker) inflate(t *threading.Thread, o *object.Object, locks uint32) *m
 // errors. A revocation sentinel is waited out and the walked word
 // reclassified.
 func (l *Locker) unlockSlow(t *threading.Thread, o *object.Object) error {
-	lockprof.UnlockSlow(t, o)
+	lockevent.Emit(lockevent.KindUnlockSlow, t, o)
 	hp := o.HeaderAddr()
 	shifted := t.Shifted()
 	for {
@@ -207,20 +182,16 @@ func (l *Locker) unlockSlow(t *threading.Thread, o *object.Object) error {
 // revoker unparks the reserving thread when it publishes the walked
 // word; the parker timeout bounds the case where the waiting thread is
 // not the one the revoker knows about. The stall is the handshake's
-// cost and is recorded when telemetry is enabled.
+// cost and is reported with the unblocked event.
 func (l *Locker) awaitRevocation(t *threading.Thread, o *object.Object) {
 	hp := o.HeaderAddr()
 	if !core.IsBiasRevoking(atomic.LoadUint32(hp)) {
 		return
 	}
-	tel := telemetry.Active()
-	var start int64
-	if tel != nil {
-		start = telemetry.Now()
-	}
+	start := lockevent.Stamp(lockevent.KindUnblocked)
 	// This path does not end in an acquisition (unlock and wait also
-	// ride out sentinels), so the wait-for edge is cleared explicitly.
-	lockdep.Blocked(t, o, lockdep.WaitRevocation)
+	// ride out sentinels), so the episode is closed explicitly.
+	lockevent.Blocked(t, o, lockevent.WaitRevocation)
 	var b arch.Backoff
 	for core.IsBiasRevoking(atomic.LoadUint32(hp)) {
 		if b.Rounds() >= 8 {
@@ -229,8 +200,5 @@ func (l *Locker) awaitRevocation(t *threading.Thread, o *object.Object) {
 			b.Pause()
 		}
 	}
-	lockdep.Unblocked(t)
-	if tel != nil {
-		tel.Observe(t, telemetry.HistBiasHandshakeNs, telemetry.Now()-start)
-	}
+	lockevent.Unblocked(t, o, lockevent.WaitRevocation, start)
 }

@@ -4,9 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"thinlock/internal/lockprof"
+	"thinlock/internal/lockevent"
 	"thinlock/internal/object"
-	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
 )
 
@@ -119,24 +118,9 @@ func (l *ThinLocks) queueWait(t *threading.Thread, o *object.Object) {
 	q.mu.Unlock()
 
 	l.queuedParks.Add(1)
-	m := telemetry.Active()
-	p := lockprof.Active()
-	if m == nil && p == nil {
-		<-ch
-		return
-	}
-	if m != nil {
-		m.Inc(t, telemetry.CtrQueuedParks)
-	}
-	start := telemetry.Now()
+	start := lockevent.Stamp(lockevent.KindPark)
 	<-ch
-	parked := telemetry.Now() - start
-	if m != nil {
-		m.Observe(t, telemetry.HistMonitorStallNs, parked)
-	}
-	if p != nil {
-		p.Park(t, parked)
-	}
+	lockevent.Park(t, o, lockevent.WaitQueued, start)
 }
 
 // wakeQueued clears the flc bit and releases every parked contender.
@@ -152,7 +136,7 @@ func (l *ThinLocks) wakeQueued(o *object.Object) {
 		close(ch)
 	}
 	l.flcWakeups.Add(1)
-	telemetry.Inc(nil, telemetry.CtrFLCWakeups)
+	lockevent.Count(nil, lockevent.CtrFLCWakeups)
 	l.flc.drop(o.ID())
 }
 

@@ -25,11 +25,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"thinlock/internal/lockdep"
-	"thinlock/internal/lockprof"
+	"thinlock/internal/lockevent"
 	"thinlock/internal/monitor"
 	"thinlock/internal/object"
-	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
 )
 
@@ -167,20 +165,25 @@ func (h *HotLocks) Slots() int { return len(h.slots) }
 // hot returns the hot monitor for a hot header word.
 func (h *HotLocks) hot(t *threading.Thread, w uint32) *monitor.Monitor {
 	h.hotOps.Add(1)
-	telemetry.Inc(t, telemetry.CtrHotOps)
+	lockevent.Count(t, lockevent.CtrHotOps)
 	return h.slots[slotOf(w)]
 }
 
 // coldLookup finds or creates the pinned cold entry for o and bumps its
 // frequency. It reserves a hot slot when the entry crosses the
-// threshold; the reservation index is returned (or -1).
+// threshold; the reservation index is returned (or -1). A nil entry
+// means o has no cold entry: with create unset, none exists; with create
+// set, o was promoted since the caller read its header (the promoter
+// installs the hot header under h.mu before dropping the cold entry),
+// and the caller must retry through the hot path rather than create a
+// second monitor for o.
 func (h *HotLocks) coldLookup(t *threading.Thread, o *object.Object, create bool) (*coldEntry, int) {
 	h.coldOps.Add(1)
-	telemetry.Inc(t, telemetry.CtrColdOps)
+	lockevent.Count(t, lockevent.CtrColdOps)
 	h.mu.Lock()
 	e := h.cold[o.ID()]
 	if e == nil {
-		if !create {
+		if !create || o.Header()&hotBit != 0 {
 			h.mu.Unlock()
 			return nil, -1
 		}
@@ -210,7 +213,7 @@ func (h *HotLocks) coldLookup(t *threading.Thread, o *object.Object, create bool
 // sweepLocked drops quiescent, unpinned cold entries. Caller holds h.mu.
 func (h *HotLocks) sweepLocked() {
 	h.sweeps.Add(1)
-	telemetry.Inc(nil, telemetry.CtrColdSweeps)
+	lockevent.Count(nil, lockevent.CtrColdSweeps)
 	for id, e := range h.cold {
 		if e.pins == 0 && !e.promoting && e.mon.Quiescent() {
 			delete(h.cold, id)
@@ -218,7 +221,11 @@ func (h *HotLocks) sweepLocked() {
 	}
 }
 
+// unpin releases a pin taken by coldLookup (nil for none).
 func (h *HotLocks) unpin(e *coldEntry) {
+	if e == nil {
+		return
+	}
 	h.mu.Lock()
 	e.pins--
 	h.mu.Unlock()
@@ -226,139 +233,120 @@ func (h *HotLocks) unpin(e *coldEntry) {
 
 // Lock implements lockapi.Locker. Like JDK111, every IBM112 acquisition
 // routes through a monitor (hot slot or cold cache) — there is no
-// header-only fast path — so the whole operation is reported to the
-// contention profiler.
+// header-only fast path — so the whole operation is reported as a slow
+// path.
 func (h *HotLocks) Lock(t *threading.Thread, o *object.Object) {
-	if p := lockprof.Active(); p != nil {
-		p.SlowPathEnter(t, o)
-		start := telemetry.Now()
-		h.lockBody(t, o)
-		p.SlowPathExit(t, o, telemetry.Now()-start)
-	} else {
-		h.lockBody(t, o)
-	}
-	if d := lockdep.Active(); d != nil {
-		d.Acquired(t, o)
-	}
+	start := lockevent.SlowEnter(t, o)
+	h.lockBody(t, o)
+	lockevent.SlowExit(t, o, start)
+	lockevent.Emit(lockevent.KindAcquire, t, o)
 }
+
+// beforeColdLookup, when set by a test, runs between lockBody's header
+// read and its cold-cache lookup: the window a concurrent promotion can
+// fall into.
+var beforeColdLookup func(t *threading.Thread)
 
 func (h *HotLocks) lockBody(t *threading.Thread, o *object.Object) {
 	w := o.Header()
-	if w&hotBit != 0 {
-		lockdep.Blocked(t, o, lockdep.WaitFat)
-		h.hot(t, w).Enter(t)
-		return
+	if w&hotBit == 0 {
+		if beforeColdLookup != nil {
+			beforeColdLookup(t)
+		}
+		if e, slot := h.coldLookup(t, o, true); e != nil {
+			lockevent.Blocked(t, o, lockevent.WaitFat)
+			e.mon.Enter(t)
+			if slot >= 0 {
+				// Promote: we own the monitor, so no thread is inside a
+				// critical section on this object; threads blocked on
+				// the monitor keep working because the slot aliases the
+				// same monitor structure. The hot header goes in before
+				// the cold entry goes out, both under h.mu, so a thread
+				// that read the cold header finds one or the other in
+				// coldLookup.
+				h.mu.Lock()
+				h.slots[slot] = e.mon
+				o.SetHeader(hotWord(slot, w))
+				delete(h.cold, o.ID())
+				h.mu.Unlock()
+				h.promotions.Add(1)
+				lockevent.Count(t, lockevent.CtrHotPromotions)
+			}
+			h.unpin(e)
+			return
+		}
+		w = o.Header() // promoted since the first read: now hot for good
 	}
-	e, slot := h.coldLookup(t, o, true)
-	lockdep.Blocked(t, o, lockdep.WaitFat)
-	e.mon.Enter(t)
-	if slot >= 0 {
-		// Promote: we own the monitor, so no thread is inside a
-		// critical section on this object; threads blocked on the
-		// monitor keep working because the slot aliases the same
-		// monitor structure.
-		h.mu.Lock()
-		h.slots[slot] = e.mon
-		delete(h.cold, o.ID())
-		h.mu.Unlock()
-		o.SetHeader(hotWord(slot, w))
-		h.promotions.Add(1)
-		telemetry.Inc(t, telemetry.CtrHotPromotions)
-	}
-	h.unpin(e)
+	lockevent.Blocked(t, o, lockevent.WaitFat)
+	h.hot(t, w).Enter(t)
 }
 
 // Unlock implements lockapi.Locker.
 func (h *HotLocks) Unlock(t *threading.Thread, o *object.Object) error {
 	err := h.unlockBody(t, o)
 	if err == nil {
-		if d := lockdep.Active(); d != nil {
-			d.Released(t, o)
-		}
+		lockevent.Emit(lockevent.KindRelease, t, o)
 	}
 	return err
 }
 
 func (h *HotLocks) unlockBody(t *threading.Thread, o *object.Object) error {
-	lockprof.UnlockSlow(t, o)
-	w := o.Header()
-	if w&hotBit != 0 {
-		return h.hot(t, w).Exit(t)
-	}
-	e, _ := h.coldLookup(t, o, false)
-	if e == nil {
-		// The object may have been promoted between our header read
-		// and the cache lookup.
-		if w = o.Header(); w&hotBit != 0 {
-			return h.hot(t, w).Exit(t)
-		}
+	lockevent.Emit(lockevent.KindUnlockSlow, t, o)
+	m, e := h.owned(t, o)
+	if m == nil {
 		return ErrIllegalMonitorState
 	}
-	err := e.mon.Exit(t)
-	h.unpin(e)
-	return err
+	defer h.unpin(e)
+	return m.Exit(t)
+}
+
+// owned resolves o's monitor for an operation only its owner may
+// perform: the hot slot, or o's pinned cold entry, which the caller
+// releases with unpin. nil if o has neither, so t cannot own it.
+func (h *HotLocks) owned(t *threading.Thread, o *object.Object) (*monitor.Monitor, *coldEntry) {
+	if w := o.Header(); w&hotBit != 0 {
+		return h.hot(t, w), nil
+	}
+	if e, _ := h.coldLookup(t, o, false); e != nil {
+		return e.mon, e
+	}
+	// The object may have been promoted between the header read and the
+	// cache lookup.
+	if w := o.Header(); w&hotBit != 0 {
+		return h.hot(t, w), nil
+	}
+	return nil, nil
 }
 
 // Wait implements lockapi.Locker.
 func (h *HotLocks) Wait(t *threading.Thread, o *object.Object, d time.Duration) (bool, error) {
-	if ld := lockdep.Active(); ld != nil {
-		ld.CondWaitBegin(t, o)
-		notified, err := h.waitBody(t, o, d)
-		ld.CondWaitEnd(t, o)
-		return notified, err
-	}
-	return h.waitBody(t, o, d)
-}
-
-func (h *HotLocks) waitBody(t *threading.Thread, o *object.Object, d time.Duration) (bool, error) {
-	w := o.Header()
-	if w&hotBit != 0 {
-		return h.hot(t, w).Wait(t, d)
-	}
-	e, _ := h.coldLookup(t, o, false)
-	if e == nil {
-		if w = o.Header(); w&hotBit != 0 {
-			return h.hot(t, w).Wait(t, d)
-		}
+	m, e := h.owned(t, o)
+	if m == nil {
 		return false, ErrIllegalMonitorState
 	}
-	notified, err := e.mon.Wait(t, d)
-	h.unpin(e)
+	defer h.unpin(e)
+	lockevent.Emit(lockevent.KindWaitBegin, t, o)
+	notified, err := m.Wait(t, d)
+	lockevent.Emit(lockevent.KindWaitEnd, t, o)
 	return notified, err
 }
 
 // Notify implements lockapi.Locker.
 func (h *HotLocks) Notify(t *threading.Thread, o *object.Object) error {
-	w := o.Header()
-	if w&hotBit != 0 {
-		return h.hot(t, w).Notify(t)
-	}
-	e, _ := h.coldLookup(t, o, false)
-	if e == nil {
-		if w = o.Header(); w&hotBit != 0 {
-			return h.hot(t, w).Notify(t)
-		}
+	m, e := h.owned(t, o)
+	if m == nil {
 		return ErrIllegalMonitorState
 	}
-	err := e.mon.Notify(t)
-	h.unpin(e)
-	return err
+	defer h.unpin(e)
+	return m.Notify(t)
 }
 
 // NotifyAll implements lockapi.Locker.
 func (h *HotLocks) NotifyAll(t *threading.Thread, o *object.Object) error {
-	w := o.Header()
-	if w&hotBit != 0 {
-		return h.hot(t, w).NotifyAll(t)
-	}
-	e, _ := h.coldLookup(t, o, false)
-	if e == nil {
-		if w = o.Header(); w&hotBit != 0 {
-			return h.hot(t, w).NotifyAll(t)
-		}
+	m, e := h.owned(t, o)
+	if m == nil {
 		return ErrIllegalMonitorState
 	}
-	err := e.mon.NotifyAll(t)
-	h.unpin(e)
-	return err
+	defer h.unpin(e)
+	return m.NotifyAll(t)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"thinlock/internal/object"
+	"thinlock/internal/testutil"
 	"thinlock/internal/threading"
 )
 
@@ -357,5 +358,74 @@ func TestHotWordEncoding(t *testing.T) {
 	}
 	if w&object.MiscMask != 0xA5 {
 		t.Errorf("misc = %#x, want 0xA5", w&object.MiscMask)
+	}
+}
+
+// TestPromotionRaceKeepsOneMonitor pins a contender between its read of
+// the cold header and its cold-cache lookup while another thread
+// promotes the object and holds it. The contender must then block on
+// the promoted monitor; creating a fresh cold monitor for the object
+// would let it in while the promoter still holds the lock. Not
+// parallel: it sets the package's test hook.
+func TestPromotionRaceKeepsOneMonitor(t *testing.T) {
+	f := newFixture(Options{})
+	promoter, contender := f.thread(t), f.thread(t)
+	o := f.heap.New("X")
+	for i := uint32(1); i < DefaultThreshold; i++ {
+		f.h.Lock(promoter, o)
+		if err := f.h.Unlock(promoter, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	inWindow, resume := make(chan struct{}), make(chan struct{})
+	beforeColdLookup = func(th *threading.Thread) {
+		if th == contender {
+			close(inWindow)
+			<-resume
+		}
+	}
+	defer func() { beforeColdLookup = nil }()
+
+	entered := make(chan struct{})
+	unlocked := make(chan error, 1)
+	go func() {
+		f.h.Lock(contender, o)
+		close(entered)
+		unlocked <- f.h.Unlock(contender, o)
+	}()
+	<-inWindow
+
+	f.h.Lock(promoter, o) // crosses the threshold: promotes while held
+	if o.Header()&hotBit == 0 {
+		t.Fatal("the promoter's lock did not promote the object")
+	}
+	close(resume)
+
+	// The contender either (wrongly) acquires or queues on the promoted
+	// monitor; which one it did is the verdict, not how long it took.
+	hot := f.h.slots[slotOf(o.Header())]
+	testutil.Eventually(t, 0, "contender acquires or queues on the promoted monitor", func() bool {
+		select {
+		case <-entered:
+			return true
+		default:
+			return hot.EntryQueueLen() > 0
+		}
+	})
+	select {
+	case <-entered:
+		t.Fatal("contender acquired the lock while the promoter held it")
+	default:
+	}
+
+	if err := f.h.Unlock(promoter, o); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-unlocked; err != nil {
+		t.Fatalf("contender unlock: %v", err)
+	}
+	if n := f.h.ColdCount(); n != 0 {
+		t.Errorf("ColdCount = %d after promotion, want 0 (a second monitor was created)", n)
 	}
 }

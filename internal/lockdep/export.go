@@ -48,7 +48,7 @@ func (d *Lockdep) GraphJSON() GraphExport {
 		Inversions: d.Inversions(),
 		Stats:      d.Stats(),
 	}
-	for _, n := range d.graph.nodes() {
+	for _, n := range d.graph.sortedNodes() {
 		ex.Nodes = append(ex.Nodes, n.label())
 		for i := 0; i < maxOut; i++ {
 			e := n.out[i].Load()
@@ -83,7 +83,7 @@ func (d *Lockdep) WriteDOT(w io.Writer) {
 	fmt.Fprintln(w, "digraph lockorder {")
 	fmt.Fprintln(w, "  rankdir=LR;")
 	fmt.Fprintln(w, "  node [shape=box, fontname=\"monospace\"];")
-	for _, n := range d.graph.nodes() {
+	for _, n := range d.graph.sortedNodes() {
 		fmt.Fprintf(w, "  %s;\n", dotQuote(n.label()))
 		for i := 0; i < maxOut; i++ {
 			e := n.out[i].Load()

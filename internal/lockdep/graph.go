@@ -6,8 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"thinlock/internal/lockevent"
 	"thinlock/internal/object"
-	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
 )
 
@@ -18,17 +18,15 @@ import (
 // happened at least once — a potential ABBA deadlock — even if the two
 // orders were never in flight simultaneously.
 //
-// Storage follows lockprof's bounded lock-free shape: nodes live in a
-// sharded open-addressed table of atomic pointers; each node carries a
+// Storage is bounded and lock-free: nodes live in a lockevent.Table; each node carries a
 // small fixed array of outgoing edges, CAS-appended. Cycle detection
 // runs only when an edge is first observed (or first becomes
 // multi-threaded), serialized by a mutex — a rare event, off every per-
 // acquisition path.
 
 const (
-	numShards         = 16
-	nodeSlotsPerShard = 256 // 4096 nodes total
-	nodeProbe         = 64
+	// maxNodes bounds the lock objects in the graph.
+	maxNodes = 4096
 	// maxOut bounds a node's outgoing order edges.
 	maxOut = 32
 	// maxReports bounds stored inversion reports.
@@ -64,29 +62,26 @@ func (e *gedge) threads() int {
 
 // gnode is one lock object in the order graph.
 type gnode struct {
-	id    uint64
-	class string
-	out   [maxOut]atomic.Pointer[gedge]
+	id   uint64
+	name string // the object's String, its display label
+	out  [maxOut]atomic.Pointer[gedge]
 	// mark is the DFS visit stamp, guarded by graph.mu.
 	mark uint64
 }
 
-func (n *gnode) label() string {
-	c := n.class
-	if c == "" {
-		c = "object"
-	}
-	return fmt.Sprintf("%s#%d", c, n.id)
+func (n *gnode) label() string { return n.name }
+
+// nodeKey identifies a graph node: a lock object's id and class.
+type nodeKey struct {
+	id    uint64
+	class string
 }
 
-type nodeShard struct {
-	slots [nodeSlotsPerShard]atomic.Pointer[gnode]
-}
+func initNode(k nodeKey, n *gnode) { n.id, n.name = k.id, object.Name(k.class, k.id) }
 
-// graph is the sharded lock-order graph plus the inversion reports.
+// graph is the lock-order graph plus the inversion reports.
 type graph struct {
-	shards    [numShards]nodeShard
-	nodeDrops atomic.Uint64
+	nodes     *lockevent.Table[nodeKey, gnode]
 	edgeDrops atomic.Uint64
 	edgeCount atomic.Uint64
 
@@ -100,37 +95,12 @@ type graph struct {
 	singleThread atomic.Uint64
 }
 
-// nodeHash mixes an object id (a SplitMix64 finalizer round).
-func nodeHash(id uint64) uint64 {
-	id ^= id >> 30
-	id *= 0xbf58476d1ce4e5b9
-	id ^= id >> 27
-	id *= 0x94d049bb133111eb
-	id ^= id >> 31
-	return id
-}
-
-// node returns the graph node for object id, inserting one if needed;
-// nil when the probe window is full.
-func (g *graph) node(id uint64, class string) *gnode {
-	h := nodeHash(id)
-	sh := &g.shards[(h>>60)&(numShards-1)]
-	idx := h & (nodeSlotsPerShard - 1)
-	for i := uint64(0); i < nodeProbe; i++ {
-		slot := &sh.slots[(idx+i)&(nodeSlotsPerShard-1)]
-		n := slot.Load()
-		if n == nil {
-			nn := &gnode{id: id, class: class}
-			if slot.CompareAndSwap(nil, nn) {
-				return nn
-			}
-			n = slot.Load()
-		}
-		if n.id == id {
-			return n
-		}
+// node returns the graph node for o, inserting one if needed; nil when
+// the probe window is full.
+func (g *graph) node(o *object.Object) *gnode {
+	if e, _ := g.nodes.Get(nodeKey{o.ID(), o.Class()}, lockevent.Mix64(o.ID()), initNode); e != nil {
+		return &e.Rec
 	}
-	g.nodeDrops.Add(1)
 	return nil
 }
 
@@ -142,8 +112,8 @@ func (g *graph) addEdge(d *Lockdep, from *heldEntry, o *object.Object, acqSite u
 	if fObj == nil || fObj.ID() == o.ID() {
 		return
 	}
-	fn := g.node(fObj.ID(), fObj.Class())
-	tn := g.node(o.ID(), o.Class())
+	fn := g.node(fObj)
+	tn := g.node(o)
 	if fn == nil || tn == nil {
 		return
 	}
@@ -261,7 +231,7 @@ type InversionEdge struct {
 type InversionReport struct {
 	// Seq orders reports by detection time.
 	Seq uint64 `json:"seq"`
-	// DetectedNs is the telemetry.Now timestamp of detection.
+	// DetectedNs is the lockevent.Now timestamp of detection.
 	DetectedNs int64 `json:"detected_ns"`
 	// Cycle lists the edges of the order cycle; the last edge is the
 	// one whose observation closed it.
@@ -305,7 +275,7 @@ func (g *graph) report(d *Lockdep, cycle []*gedge) {
 	}
 	rep := &InversionReport{
 		Seq:        uint64(n) + 1,
-		DetectedNs: telemetry.Now(),
+		DetectedNs: lockevent.Now(),
 		key:        key,
 	}
 	for _, e := range cycle {
@@ -325,25 +295,14 @@ func (g *graph) report(d *Lockdep, cycle []*gedge) {
 
 // size reports the node and edge counts.
 func (g *graph) size() (nodes, edges int) {
-	for s := range g.shards {
-		for i := range g.shards[s].slots {
-			if g.shards[s].slots[i].Load() != nil {
-				nodes++
-			}
-		}
-	}
-	return nodes, int(g.edgeCount.Load())
+	return len(g.nodes.Entries()), int(g.edgeCount.Load())
 }
 
-// nodes returns every published node.
-func (g *graph) nodes() []*gnode {
+// sortedNodes returns every published node, in id order.
+func (g *graph) sortedNodes() []*gnode {
 	var out []*gnode
-	for s := range g.shards {
-		for i := range g.shards[s].slots {
-			if n := g.shards[s].slots[i].Load(); n != nil {
-				out = append(out, n)
-			}
-		}
+	for _, e := range g.nodes.Entries() {
+		out = append(out, &e.Rec)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out

@@ -1,14 +1,15 @@
 // Package lockdep is a runtime lock-order watchdog in the spirit of the
-// Linux kernel's lockdep, layered on the same hook discipline as
-// internal/telemetry and internal/lockprof.
+// Linux kernel's lockdep, a sink of the internal/lockevent pipeline
+// beside internal/telemetry and internal/lockprof.
 //
 // Where telemetry answers "how much" and lockprof answers "where",
 // lockdep answers "can this hang, and if it already has, why": it
 //
 //   - maintains a per-thread stack of held locks and folds every
 //     observed nesting pair (held A while acquiring B) into a global
-//     lock-order graph keyed by lock *object*, with lockprof-style site
-//     annotations on the edges. The first time the inverse order of an
+//     lock-order graph keyed by lock *object*, with call-site
+//     annotations on the edges (captured by lockevent.CaptureSite, as
+//     lockprof's are). The first time the inverse order of an
 //     existing edge appears — from a different thread — the resulting
 //     cycle is reported as a *potential* deadlock (an ABBA inversion),
 //     even if no hang ever occurs;
@@ -22,10 +23,9 @@
 //     current holders and wait-for edges when any wait exceeds a
 //     threshold, so a hang is diagnosable post mortem.
 //
-// The overhead contract matches telemetry's and lockprof's: the
-// uncontended fast paths carry no lockdep hook at all; with lockdep
-// disabled every hook site is one atomic pointer load, a compare and a
-// not-taken branch, and allocates nothing (enforced by
+// The overhead contract matches telemetry's and lockprof's: with
+// lockdep disabled every event site costs what lockevent's contract
+// says (one load, a not-taken branch, no allocation; enforced by
 // overhead_test.go). Enabled, the steady state (known sites, known
 // edges) is allocation-free too; only the first observation of a site
 // or an order edge allocates its record.
@@ -49,15 +49,15 @@ package lockdep
 import (
 	"sync/atomic"
 
+	"thinlock/internal/lockevent"
 	"thinlock/internal/object"
-	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
 )
 
-// numSlots is the size of the per-thread state array, indexed by
-// thread index modulo numSlots as in lockprof: past numSlots concurrent
-// threads, slots alias and attribution may mix (all fields are atomics,
-// so aliasing is benign for memory safety).
+// numSlots is the size of the per-thread state array, indexed by the
+// thread's ProcIndex modulo numSlots as in lockprof: past numSlots
+// concurrent threads, slots alias and attribution may mix (all fields
+// are atomics, so aliasing is benign for memory safety).
 const numSlots = 4096
 
 // maxHeld bounds the per-thread held-lock stack. Deeper nesting than
@@ -66,46 +66,17 @@ const numSlots = 4096
 const maxHeld = 16
 
 // WaitKind classifies why a thread is blocked on an object.
-type WaitKind uint32
+type WaitKind = lockevent.WaitKind
 
+// The wait kinds, named here for readers of this package.
 const (
-	// WaitNone marks a thread that is not blocked.
-	WaitNone WaitKind = iota
-	// WaitSpin is a thread spinning for a thin lock held by another
-	// thread (§2.3.4 of the paper).
-	WaitSpin
-	// WaitQueued is a thread parked on the flat-lock-contention queue
-	// (the queued-inflation extension).
-	WaitQueued
-	// WaitFat is a thread entering a fat monitor that may be owned.
-	WaitFat
-	// WaitRevocation is a thread waiting out a bias-revocation
-	// handshake.
-	WaitRevocation
-	// WaitCond is a thread in Object.wait (released the lock, waiting
-	// for a notify and then the re-acquisition).
-	WaitCond
+	WaitNone       = lockevent.WaitNone
+	WaitSpin       = lockevent.WaitSpin
+	WaitQueued     = lockevent.WaitQueued
+	WaitFat        = lockevent.WaitFat
+	WaitRevocation = lockevent.WaitRevocation
+	WaitCond       = lockevent.WaitCond
 )
-
-// String returns the report label for the kind.
-func (k WaitKind) String() string {
-	switch k {
-	case WaitNone:
-		return "none"
-	case WaitSpin:
-		return "spin"
-	case WaitQueued:
-		return "queued-park"
-	case WaitFat:
-		return "monitor-enter"
-	case WaitRevocation:
-		return "bias-revocation"
-	case WaitCond:
-		return "cond-wait"
-	default:
-		return "unknown"
-	}
-}
 
 // heldEntry is one held lock on a thread's stack. All fields are
 // atomics because the wait-for detector and the watchdog read other
@@ -142,11 +113,12 @@ type threadSlot struct {
 type Config struct{}
 
 // Lockdep is one lock-order tracking state. Create with New, install
-// globally with Enable; all methods are safe for concurrent use.
+// in the event pipeline with Enable; all methods are safe for
+// concurrent use.
 type Lockdep struct {
 	startNs int64
 
-	sites siteTable
+	sites *lockevent.Table[lockevent.SiteKey, struct{}]
 	graph graph
 	ring  ring
 	slots [numSlots]threadSlot
@@ -157,29 +129,101 @@ type Lockdep struct {
 // New returns an empty Lockdep with the given configuration.
 func New(cfg Config) *Lockdep {
 	_ = cfg
-	return &Lockdep{startNs: telemetry.Now()}
+	return &Lockdep{
+		startNs: lockevent.Now(),
+		sites:   lockevent.NewTable[lockevent.SiteKey, struct{}](maxSites),
+		graph:   graph{nodes: lockevent.NewTable[nodeKey, gnode](maxNodes)},
+	}
 }
 
 // slot returns the acting thread's state slot (slot 0 for nil).
 func (d *Lockdep) slot(t *threading.Thread) *threadSlot {
-	if t == nil {
-		return &d.slots[0]
-	}
-	return &d.slots[int(t.Index())&(numSlots-1)]
+	return &d.slots[int(t.ProcIndex())&(numSlots-1)]
 }
 
+// noteThread claims the slot for t. A ProcIndex is reused only after
+// its thread detached, so state another thread left in the slot (locks
+// it still held when it went away) is stale and is dropped rather than
+// folded into t's order edges.
 func (s *threadSlot) noteThread(t *threading.Thread) {
-	if t != nil && s.thr.Load() != t {
-		s.thr.Store(t)
+	prev := s.thr.Load()
+	if t == nil || prev == t {
+		return
 	}
+	s.thr.Store(t)
+	if prev == nil {
+		return
+	}
+	for i := range s.held {
+		s.held[i].obj.Store(nil)
+		s.held[i].id.Store(0)
+	}
+	s.heldLen.Store(0)
+	s.overflow.Store(0)
+	s.clearWait(nil)
+	s.condObj.Store(nil)
 }
 
-// threadIndex returns t's index (0 for nil).
-func threadIndex(t *threading.Thread) uint32 {
-	if t == nil {
-		return 0
+// heldCount is the number of valid held entries.
+func (s *threadSlot) heldCount() uint32 { return min(s.heldLen.Load(), maxHeld) }
+
+// find returns the index of o's held entry among the first n, or -1.
+func (s *threadSlot) find(o *object.Object, n uint32) int {
+	for i := uint32(0); i < n; i++ {
+		if s.held[i].id.Load() == o.ID() {
+			return int(i)
+		}
 	}
-	return uint32(t.Index())
+	return -1
+}
+
+// push appends a held entry for o; false (and an overflow) when the
+// stack is full.
+func (d *Lockdep) push(s *threadSlot, n uint32, o *object.Object, depth, site uint32) bool {
+	if n >= maxHeld {
+		s.overflow.Add(1)
+		d.heldOverflows.Add(1)
+		return false
+	}
+	e := &s.held[n]
+	e.obj.Store(o)
+	e.id.Store(o.ID())
+	e.n.Store(depth)
+	e.site.Store(site)
+	s.heldLen.Store(n + 1)
+	return true
+}
+
+// drop removes held entry i of n. Order within the stack does not
+// matter once the edges are folded, so the last entry moves into i.
+func (s *threadSlot) drop(i int, n uint32) {
+	last := n - 1
+	if uint32(i) != last {
+		s.held[i].obj.Store(s.held[last].obj.Load())
+		s.held[i].id.Store(s.held[last].id.Load())
+		s.held[i].n.Store(s.held[last].n.Load())
+		s.held[i].site.Store(s.held[last].site.Load())
+	}
+	s.held[last].obj.Store(nil)
+	s.held[last].id.Store(0)
+	s.heldLen.Store(last)
+}
+
+// setWait marks the slot blocked on o for a new episode.
+func (s *threadSlot) setWait(o *object.Object, kind WaitKind, site uint32) {
+	s.waitSite.Store(site)
+	s.waitKind.Store(uint32(kind))
+	s.waitStart.Store(lockevent.Now())
+	s.waitSeq.Add(1)
+	s.waitObj.Store(o)
+}
+
+// clearWait ends the slot's blocking episode on o (any episode for nil).
+func (s *threadSlot) clearWait(o *object.Object) {
+	if w := s.waitObj.Load(); w != nil && (o == nil || w == o) {
+		s.waitObj.Store(nil)
+		s.waitKind.Store(uint32(WaitNone))
+	}
 }
 
 // Acquired records that t now owns o. Called by the lock
@@ -191,74 +235,42 @@ func threadIndex(t *threading.Thread) uint32 {
 func (d *Lockdep) Acquired(t *threading.Thread, o *object.Object) {
 	s := d.slot(t)
 	s.noteThread(t)
-	if s.waitObj.Load() != nil {
-		s.waitObj.Store(nil)
-		s.waitKind.Store(uint32(WaitNone))
-	}
-	n := s.heldLen.Load()
-	if n > maxHeld {
-		n = maxHeld
-	}
-	for i := uint32(0); i < n; i++ {
-		if s.held[i].id.Load() == o.ID() {
-			s.held[i].n.Add(1)
-			return
-		}
-	}
-	site := d.captureSite(t)
-	d.ring.record(EvAcquire, threadIndex(t), o, site, 0)
-	if n >= maxHeld {
-		s.overflow.Add(1)
-		d.heldOverflows.Add(1)
+	s.clearWait(nil)
+	n := s.heldCount()
+	if i := s.find(o, n); i >= 0 {
+		s.held[i].n.Add(1)
 		return
 	}
-	e := &s.held[n]
-	e.obj.Store(o)
-	e.id.Store(o.ID())
-	e.n.Store(1)
-	e.site.Store(site)
-	s.heldLen.Store(n + 1)
-	for i := uint32(0); i < n; i++ {
-		d.graph.addEdge(d, &s.held[i], o, site, t)
+	site := d.captureSite(t)
+	d.ring.record(EvAcquire, t.ProcIndex(), o, site, 0)
+	if d.push(s, n, o, 1, site) {
+		for i := uint32(0); i < n; i++ {
+			d.graph.addEdge(d, &s.held[i], o, site, t)
+		}
 	}
 }
 
-// Released records that t released one level of o. The final release
-// pops the held entry (order within the stack does not matter once the
-// edges are folded, so the pop swaps with the last entry).
+// Released records that t released one level of o; the final release
+// drops the held entry.
 func (d *Lockdep) Released(t *threading.Thread, o *object.Object) {
 	s := d.slot(t)
-	n := s.heldLen.Load()
-	if n > maxHeld {
-		n = maxHeld
-	}
-	for i := int(n) - 1; i >= 0; i-- {
-		if s.held[i].id.Load() != o.ID() {
-			continue
+	n := s.heldCount()
+	i := s.find(o, n)
+	if i < 0 {
+		// Not on the stack: either the push was dropped on overflow, or
+		// lockdep was enabled after the acquisition. Burn an overflow
+		// credit if one exists so the counters stay roughly honest.
+		if c := s.overflow.Load(); c > 0 {
+			s.overflow.Store(c - 1)
 		}
-		if c := s.held[i].n.Load(); c > 1 {
-			s.held[i].n.Store(c - 1)
-			return
-		}
-		last := n - 1
-		if uint32(i) != last {
-			s.held[i].obj.Store(s.held[last].obj.Load())
-			s.held[i].id.Store(s.held[last].id.Load())
-			s.held[i].n.Store(s.held[last].n.Load())
-			s.held[i].site.Store(s.held[last].site.Load())
-		}
-		s.held[last].obj.Store(nil)
-		s.held[last].id.Store(0)
-		s.heldLen.Store(last)
-		d.ring.record(EvRelease, threadIndex(t), o, 0, 0)
 		return
 	}
-	// Not on the stack: either the push was dropped on overflow, or
-	// lockdep was enabled after the acquisition. Burn an overflow
-	// credit if one exists so the counters stay roughly honest.
-	if c := s.overflow.Load(); c > 0 {
-		s.overflow.Store(c - 1)
+	if c := s.held[i].n.Load(); c > 1 {
+		s.held[i].n.Store(c - 1)
+		return
 	}
+	s.drop(i, n)
+	d.ring.record(EvRelease, t.ProcIndex(), o, 0, 0)
 }
 
 // Blocked records that t is about to block (or spin) on o. Called from
@@ -274,23 +286,13 @@ func (d *Lockdep) Blocked(t *threading.Thread, o *object.Object, kind WaitKind) 
 	}
 	s.noteThread(t)
 	site := d.captureSite(t)
-	s.waitSite.Store(site)
-	s.waitKind.Store(uint32(kind))
-	s.waitStart.Store(telemetry.Now())
-	s.waitSeq.Add(1)
-	s.waitObj.Store(o)
-	d.ring.record(EvBlocked, threadIndex(t), o, site, uint32(kind))
+	s.setWait(o, kind, site)
+	d.ring.record(EvBlocked, t.ProcIndex(), o, site, uint32(kind))
 }
 
 // Unblocked clears t's wait-for state on paths that do not end in an
 // acquisition (e.g. waiting out a bias revocation during an unlock).
-func (d *Lockdep) Unblocked(t *threading.Thread) {
-	s := d.slot(t)
-	if s.waitObj.Load() != nil {
-		s.waitObj.Store(nil)
-		s.waitKind.Store(uint32(WaitNone))
-	}
-}
+func (d *Lockdep) Unblocked(t *threading.Thread) { d.slot(t).clearWait(nil) }
 
 // CondWaitBegin records that t entered Object.wait on o: the held
 // entry for o (at whatever recursion depth) leaves the stack — the
@@ -300,36 +302,16 @@ func (d *Lockdep) Unblocked(t *threading.Thread) {
 func (d *Lockdep) CondWaitBegin(t *threading.Thread, o *object.Object) {
 	s := d.slot(t)
 	s.noteThread(t)
-	n := s.heldLen.Load()
-	if n > maxHeld {
-		n = maxHeld
-	}
-	for i := uint32(0); i < n; i++ {
-		if s.held[i].id.Load() != o.ID() {
-			continue
-		}
+	n := s.heldCount()
+	if i := s.find(o, n); i >= 0 {
 		s.condObj.Store(o)
 		s.condDepth.Store(s.held[i].n.Load())
 		s.condSite.Store(s.held[i].site.Load())
-		last := n - 1
-		if i != last {
-			s.held[i].obj.Store(s.held[last].obj.Load())
-			s.held[i].id.Store(s.held[last].id.Load())
-			s.held[i].n.Store(s.held[last].n.Load())
-			s.held[i].site.Store(s.held[last].site.Load())
-		}
-		s.held[last].obj.Store(nil)
-		s.held[last].id.Store(0)
-		s.heldLen.Store(last)
-		break
+		s.drop(i, n)
 	}
 	site := d.captureSite(t)
-	s.waitSite.Store(site)
-	s.waitKind.Store(uint32(WaitCond))
-	s.waitStart.Store(telemetry.Now())
-	s.waitSeq.Add(1)
-	s.waitObj.Store(o)
-	d.ring.record(EvCondWait, threadIndex(t), o, site, uint32(WaitCond))
+	s.setWait(o, WaitCond, site)
+	d.ring.record(EvCondWait, t.ProcIndex(), o, site, uint32(WaitCond))
 }
 
 // CondWaitEnd records that t's Object.wait on o returned (notified,
@@ -339,27 +321,14 @@ func (d *Lockdep) CondWaitBegin(t *threading.Thread, o *object.Object) {
 // acquisition already did.
 func (d *Lockdep) CondWaitEnd(t *threading.Thread, o *object.Object) {
 	s := d.slot(t)
-	if s.waitObj.Load() == o {
-		s.waitObj.Store(nil)
-		s.waitKind.Store(uint32(WaitNone))
-	}
+	s.clearWait(o)
 	if s.condObj.Load() != o {
 		return
 	}
 	s.condObj.Store(nil)
-	n := s.heldLen.Load()
-	if n >= maxHeld {
-		s.overflow.Add(1)
-		d.heldOverflows.Add(1)
-		return
+	if d.push(s, s.heldLen.Load(), o, s.condDepth.Load(), s.condSite.Load()) {
+		d.ring.record(EvCondWake, t.ProcIndex(), o, s.condSite.Load(), 0)
 	}
-	e := &s.held[n]
-	e.obj.Store(o)
-	e.id.Store(o.ID())
-	e.n.Store(s.condDepth.Load())
-	e.site.Store(s.condSite.Load())
-	s.heldLen.Store(n + 1)
-	d.ring.record(EvCondWake, threadIndex(t), o, s.condSite.Load(), 0)
 }
 
 // Stats is a snapshot of lockdep's internal counters.
@@ -389,8 +358,8 @@ func (d *Lockdep) Stats() Stats {
 		Edges:              edges,
 		Inversions:         len(d.Inversions()),
 		SingleThreadCycles: d.graph.singleThread.Load(),
-		SiteDrops:          d.sites.drops.Load(),
-		NodeDrops:          d.graph.nodeDrops.Load(),
+		SiteDrops:          d.sites.Drops(),
+		NodeDrops:          d.graph.nodes.Drops(),
 		EdgeDrops:          d.graph.edgeDrops.Load(),
 		ReportDrops:        d.graph.reportDrops.Load(),
 		HeldOverflows:      d.heldOverflows.Load(),
@@ -398,37 +367,73 @@ func (d *Lockdep) Stats() Stats {
 	}
 }
 
-// active is the globally installed Lockdep the hook helpers feed.
-var active atomic.Pointer[Lockdep]
+// Kinds implements lockevent.Sink.
+func (d *Lockdep) Kinds() lockevent.Mask {
+	return lockevent.Of(lockevent.KindAcquire, lockevent.KindRelease,
+		lockevent.KindSpin, lockevent.KindBlocked, lockevent.KindUnblocked,
+		lockevent.KindWaitBegin, lockevent.KindWaitEnd)
+}
 
-// Enable installs d as the global hook target (nil disables) and
+// Event implements lockevent.Sink. A spin round is a blocking episode
+// like any other; Blocked keeps its start time across the rounds.
+func (d *Lockdep) Event(e lockevent.Event) {
+	switch e.Kind {
+	case lockevent.KindAcquire:
+		d.Acquired(e.T, e.O)
+	case lockevent.KindRelease:
+		d.Released(e.T, e.O)
+	case lockevent.KindSpin, lockevent.KindBlocked:
+		d.Blocked(e.T, e.O, WaitKind(e.Arg))
+	case lockevent.KindUnblocked:
+		d.Unblocked(e.T)
+	case lockevent.KindWaitBegin:
+		d.CondWaitBegin(e.T, e.O)
+	case lockevent.KindWaitEnd:
+		d.CondWaitEnd(e.T, e.O)
+	}
+}
+
+// Enable installs d as the pipeline's lockdep sink (nil disables) and
 // returns d.
 func Enable(d *Lockdep) *Lockdep {
-	active.Store(d)
+	if d == nil {
+		Disable()
+		return nil
+	}
+	lockevent.Install(lockevent.SlotLockdep, d)
 	return d
 }
 
-// Disable uninstalls the global hook target.
-func Disable() { active.Store(nil) }
+// Disable uninstalls the lockdep sink.
+func Disable() { lockevent.Install(lockevent.SlotLockdep, nil) }
 
 // Active returns the installed Lockdep, or nil when disabled.
-func Active() *Lockdep { return active.Load() }
-
-// Enabled reports whether a global Lockdep is installed.
-func Enabled() bool { return active.Load() != nil }
-
-// Blocked records a blocking episode on the installed Lockdep; a no-op
-// (one atomic load, one branch, no allocation) when disabled.
-func Blocked(t *threading.Thread, o *object.Object, kind WaitKind) {
-	if d := active.Load(); d != nil {
-		d.Blocked(t, o, kind)
-	}
+func Active() *Lockdep {
+	d, _ := lockevent.Installed(lockevent.SlotLockdep).(*Lockdep)
+	return d
 }
 
-// Unblocked clears a blocking episode on the installed Lockdep; no-op
-// when disabled.
-func Unblocked(t *threading.Thread) {
-	if d := active.Load(); d != nil {
-		d.Unblocked(t)
+// Sites are interned into a bounded lockevent.Table and referred to
+// everywhere else by their table id, so held entries, wait states,
+// graph edges and ring events can store a site in one atomic word.
+// Capture, hashing and labels are lockevent's.
+
+// maxSites bounds the number of distinct sites; past it, captures
+// resolve to site id 0 ("site table full") and a drop is counted.
+const maxSites = 2048
+
+// captureSite resolves the acting thread's current lock site to its
+// id. Allocation-free for known sites.
+func (d *Lockdep) captureSite(t *threading.Thread) uint32 {
+	k := lockevent.CaptureSite(t)
+	_, id := d.sites.Get(k, k.Hash(), nil)
+	return id
+}
+
+// SiteLabel returns the display label for a site id ("?" for 0).
+func (d *Lockdep) SiteLabel(id uint32) string {
+	if e := d.sites.ByID(id); e != nil {
+		return e.Key.Label()
 	}
+	return "?"
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"thinlock/internal/lockdep"
+	"thinlock/internal/lockevent"
 	"thinlock/internal/object"
 	"thinlock/internal/threading"
 )
@@ -400,23 +401,24 @@ func TestExportsRenderGraphAndReport(t *testing.T) {
 func TestGlobalEnableDisable(t *testing.T) {
 	// Not parallel: owns the global registration.
 	lockdep.Disable()
-	if lockdep.Enabled() || lockdep.Active() != nil {
+	if lockdep.Active() != nil {
 		t.Fatal("lockdep enabled at test start")
 	}
 	d := lockdep.Enable(lockdep.New(lockdep.Config{}))
 	defer lockdep.Disable()
-	if lockdep.Active() != d || !lockdep.Enabled() {
+	if lockdep.Active() != d {
 		t.Fatal("Enable did not install")
 	}
-	// The package-level wrappers must feed the installed instance.
+	// The event pipeline must feed the installed instance.
 	f := newFixture(t)
 	th := f.thread(t, "glob")
 	o := f.heap.New("Obj")
-	lockdep.Blocked(th, o, lockdep.WaitSpin)
+	start := lockevent.Stamp(lockevent.KindUnblocked)
+	lockevent.Blocked(th, o, lockevent.WaitSpin)
 	if got := len(d.WaitingThreads()); got != 1 {
 		t.Fatalf("global Blocked not recorded: waiters = %d", got)
 	}
-	lockdep.Unblocked(th)
+	lockevent.Unblocked(th, o, lockevent.WaitSpin, start)
 	if got := len(d.WaitingThreads()); got != 0 {
 		t.Fatalf("global Unblocked not recorded: waiters = %d", got)
 	}

@@ -5,8 +5,8 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"thinlock/internal/lockevent"
 	"thinlock/internal/object"
-	"thinlock/internal/telemetry"
 )
 
 // The flight recorder: a fixed ring of recent lock events, written
@@ -87,7 +87,7 @@ func (r *ring) record(kind EventKind, thread uint32, o *object.Object, site, aux
 	seq := r.seq.Add(1)
 	s := &r.slots[seq&(RingSize-1)]
 	s.seq.Store(seq)
-	s.tns.Store(telemetry.Now())
+	s.tns.Store(lockevent.Now())
 	s.kind.Store(uint32(kind))
 	s.thread.Store(thread)
 	s.obj.Store(o)
@@ -120,7 +120,7 @@ func (d *Lockdep) Events() []Event {
 			Seq:    seq,
 			TimeNs: s.tns.Load(),
 			Kind:   kind.String(),
-			Thread: d.threadLabel(uint16(s.thread.Load())),
+			Thread: d.threadLabel(s.thread.Load()),
 		}
 		if o := s.obj.Load(); o != nil {
 			ev.Object = o.String()
@@ -142,11 +142,11 @@ func (d *Lockdep) Events() []Event {
 
 // threadLabel resolves a thread index to "name#index" via the slot the
 // thread last touched, falling back to the bare index.
-func (d *Lockdep) threadLabel(idx uint16) string {
+func (d *Lockdep) threadLabel(idx uint32) string {
 	if idx == 0 {
 		return "-"
 	}
-	if t := d.slots[int(idx)&(numSlots-1)].thr.Load(); t != nil && t.Index() == idx {
+	if t := d.slots[int(idx)&(numSlots-1)].thr.Load(); t != nil && t.ProcIndex() == idx {
 		return threadName(t)
 	}
 	return fmt.Sprintf("#%d", idx)

@@ -3,7 +3,7 @@ package lockdep
 import (
 	"fmt"
 
-	"thinlock/internal/telemetry"
+	"thinlock/internal/lockevent"
 )
 
 // The live wait-for graph. Unlike the order graph (ever-observed
@@ -74,18 +74,18 @@ func time_ns(ns int64) string {
 
 // waitEdge is the internal snapshot of one blocked thread.
 type waitEdge struct {
-	slot     int // index into d.slots
-	seq      uint64
-	objID    uint64
-	holder   int // slot index of the holder, -1 if none found
-	node     WaitNode
+	slot   int // index into d.slots
+	seq    uint64
+	objID  uint64
+	holder int // slot index of the holder, -1 if none found
+	node   WaitNode
 }
 
 // snapshotWaiters collects every thread currently marked blocked,
 // resolving the holder of each blocked-on object by scanning the held
 // stacks. On-demand cost only (reports, watchdog scans).
 func (d *Lockdep) snapshotWaiters() []waitEdge {
-	now := telemetry.Now()
+	now := lockevent.Now()
 	var out []waitEdge
 	for i := range d.slots {
 		s := &d.slots[i]
@@ -128,10 +128,7 @@ func (d *Lockdep) snapshotWaiters() []waitEdge {
 // heldOf lists slot i's held locks.
 func (d *Lockdep) heldOf(i int) []HeldLock {
 	s := &d.slots[i]
-	n := s.heldLen.Load()
-	if n > maxHeld {
-		n = maxHeld
-	}
+	n := s.heldCount()
 	var out []HeldLock
 	for j := uint32(0); j < n; j++ {
 		o := s.held[j].obj.Load()
@@ -157,13 +154,7 @@ func (d *Lockdep) holderOf(objID uint64, skip int) int {
 			continue
 		}
 		s := &d.slots[i]
-		n := s.heldLen.Load()
-		if n == 0 {
-			continue
-		}
-		if n > maxHeld {
-			n = maxHeld
-		}
+		n := s.heldCount()
 		for j := uint32(0); j < n; j++ {
 			if s.held[j].id.Load() == objID {
 				return i

@@ -1,5 +1,6 @@
 // Package lockprof is a sampled, site-attributed lock contention
-// profiler layered on the same hook discipline as internal/telemetry.
+// profiler, a sink of the internal/lockevent pipeline beside
+// internal/telemetry.
 //
 // Where telemetry answers "how much" (global counters and histograms),
 // lockprof answers "where" and "which": every sampled slow-path
@@ -15,22 +16,23 @@
 //
 // The overhead contract matches telemetry's:
 //
-//   - the uncontended lock/unlock fast path carries no lockprof hook at
-//     all; with the profiler disabled every hook site is one atomic
-//     pointer load, a compare and a not-taken branch, and allocates
-//     nothing (enforced by overhead_test.go);
-//   - hooks live only on slow paths. Stack capture — the expensive part
-//     — happens only on sampled slow-path entries, rate-limited by a
-//     per-thread counter (Config.SampleEvery);
-//   - all bookkeeping is lock-free: records live in fixed-size sharded
-//     tables of atomic pointers (see table.go), so a hook can never
-//     block behind another thread's bookkeeping, and the profiler's
-//     memory is bounded no matter how many sites or objects appear.
+//   - the uncontended lock/unlock fast path raises no event lockprof
+//     consumes; with the profiler disabled every event site costs what
+//     lockevent's contract says (one load, a not-taken branch, no
+//     allocation; enforced by overhead_test.go);
+//   - the events it consumes come only from slow paths. Stack capture —
+//     the expensive part — happens only on sampled slow-path entries,
+//     rate-limited by a per-thread counter (Config.SampleEvery);
+//   - all bookkeeping is lock-free: records live in bounded
+//     lockevent.Tables, so the profiler never blocks behind another
+//     thread's bookkeeping, and its memory is bounded no matter how many
+//     sites or objects appear.
 package lockprof
 
 import (
 	"sync/atomic"
 
+	"thinlock/internal/lockevent"
 	"thinlock/internal/object"
 	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
@@ -51,9 +53,10 @@ type Config struct {
 	SampleEvery int
 }
 
-// numSlots is the size of the per-thread attribution slot array.
-// Thread indices are dense from 1, so any realistic run maps threads
-// to distinct slots; past numSlots concurrent threads, slots alias and
+// numSlots is the size of the per-thread attribution slot array,
+// indexed by the thread's ProcIndex. Those are dense from 1 across every
+// live thread of the process, so any realistic run maps threads to
+// distinct slots; past numSlots concurrent threads, slots alias and
 // attribution may mix between the aliased threads (all slot fields are
 // atomics, so aliasing is benign for memory safety).
 const numSlots = 4096
@@ -77,16 +80,29 @@ type threadSlot struct {
 }
 
 // Profiler is one set of contention-profile tables. Create with New,
-// install globally with Enable; all methods are safe for concurrent
-// use.
+// install in the event pipeline with Enable; all methods are safe for
+// concurrent use.
 type Profiler struct {
 	sampleEvery uint32
-	startNs     int64 // telemetry.Now at creation, for profile duration
+	startNs     int64 // lockevent.Now at creation, for profile duration
 
-	sites siteTable
-	objs  objTable
+	sites *lockevent.Table[lockevent.SiteKey, SiteRecord]
+	objs  *lockevent.Table[objKey, ObjectRecord]
 	slots [numSlots]threadSlot
 }
+
+// objKey identifies a lock object; its class is the one observed first.
+type objKey struct {
+	id    uint64
+	class string
+}
+
+// Table capacities: distinct sites and objects the profiler tracks
+// before it starts dropping events.
+const (
+	maxSites   = 4096
+	maxObjects = 8192
+)
 
 // New returns an empty Profiler with the given configuration.
 func New(cfg Config) *Profiler {
@@ -96,7 +112,9 @@ func New(cfg Config) *Profiler {
 	}
 	return &Profiler{
 		sampleEvery: uint32(se),
-		startNs:     telemetry.Now(),
+		startNs:     lockevent.Now(),
+		sites:       lockevent.NewTable[lockevent.SiteKey, SiteRecord](maxSites),
+		objs:        lockevent.NewTable[objKey, ObjectRecord](maxObjects),
 	}
 }
 
@@ -105,50 +123,70 @@ func (p *Profiler) SampleEvery() int { return int(p.sampleEvery) }
 
 // slot returns the acting thread's attribution slot (slot 0 for nil).
 func (p *Profiler) slot(t *threading.Thread) *threadSlot {
-	if t == nil {
-		return &p.slots[0]
-	}
-	return &p.slots[int(t.Index())&(numSlots-1)]
+	return &p.slots[int(t.ProcIndex())&(numSlots-1)]
 }
 
-// SlowPathEnter is called at slow-path entry, before the acquisition
-// state machine runs. One in SampleEvery entries per thread is sampled:
-// the site is resolved (VM frame if the thread published one, Go caller
-// chain otherwise), the site and object records are charged one slow
-// entry, and the records are parked in the thread's slot so the other
-// hooks (CASFailure, Park, Inflation, SlowPathExit) can attribute to
-// them without re-capturing.
-func (p *Profiler) SlowPathEnter(t *threading.Thread, o *object.Object) {
+// Kinds implements lockevent.Sink.
+func (p *Profiler) Kinds() lockevent.Mask {
+	return lockevent.Of(lockevent.KindSlowEnter, lockevent.KindSlowExit,
+		lockevent.KindUnlockSlow, lockevent.KindCASFail, lockevent.KindPark,
+		lockevent.KindInflate, lockevent.KindDeflate, lockevent.KindRevoke)
+}
+
+// Event implements lockevent.Sink.
+func (p *Profiler) Event(e lockevent.Event) {
+	switch e.Kind {
+	case lockevent.KindSlowEnter:
+		p.slowPathEnter(e.T, e.O)
+	case lockevent.KindSlowExit:
+		p.slowPathExit(e.T, e.O, e.N)
+	case lockevent.KindUnlockSlow:
+		p.unlockSlow(e.T, e.O)
+	case lockevent.KindCASFail:
+		if site := p.slot(e.T).site.Load(); site != nil {
+			site.CASFailures.Add(1)
+		}
+	case lockevent.KindPark:
+		p.park(e.T, e.N)
+	case lockevent.KindInflate:
+		if c := lockevent.Cause(e.Arg); c < lockevent.NumCauses {
+			p.siteFor(e.T).Inflations[c].Add(1)
+			p.obj(e.O).Inflations.Add(1)
+		}
+	case lockevent.KindRevoke:
+		if c := lockevent.Cause(e.Arg); c < lockevent.NumCauses {
+			p.siteFor(e.T).Revocations[c].Add(1)
+			p.obj(e.O).Revocations.Add(1)
+		}
+	case lockevent.KindDeflate:
+		p.siteFor(e.T).Deflations.Add(1)
+		p.obj(e.O).Deflations.Add(1)
+	}
+}
+
+// slowPathEnter runs at slow-path entry, before the acquisition state
+// machine. One in SampleEvery entries per thread is sampled: the site is
+// captured, the site and object records are charged one slow entry,
+// and the records are parked in the thread's slot so the later events
+// of the acquisition (CAS failures, parks, inflation, slow-path exit)
+// are attributed to them without re-capturing.
+func (p *Profiler) slowPathEnter(t *threading.Thread, o *object.Object) {
 	s := p.slot(t)
 	if n := s.tick.Add(1); p.sampleEvery > 1 && n%p.sampleEvery != 0 {
 		return
 	}
-	var k SiteKey
-	if t != nil {
-		if method, pc, ok := t.Frame(); ok {
-			k.VMMethod, k.VMPC = method, pc
-		}
-	}
-	if !k.IsVM() {
-		captureGoSite(&k, 1)
-	}
-	site := p.sites.get(k)
-	obj := p.objs.get(o.ID(), o.Class())
-	if site != nil {
-		site.SlowEntries.Add(1)
-	}
-	if obj != nil {
-		obj.SlowEntries.Add(1)
-	}
+	site, obj := p.site(lockevent.CaptureSite(t)), p.obj(o)
+	site.SlowEntries.Add(1)
+	obj.SlowEntries.Add(1)
 	s.site.Store(site)
 	s.obj.Store(obj)
 }
 
-// SlowPathExit is called when the slow-path acquisition completes,
-// with the total slow-path latency. It charges the delay to the sampled
-// records and rolls the sample over into held state so the next
-// slow-path unlock of o by this thread can record hold time.
-func (p *Profiler) SlowPathExit(t *threading.Thread, o *object.Object, delayNs int64) {
+// slowPathExit runs when the slow-path acquisition completes, with the
+// total slow-path latency. It charges the delay to the sampled records
+// and rolls the sample over into held state so the next slow-path
+// unlock of o by this thread can record hold time.
+func (p *Profiler) slowPathExit(t *threading.Thread, o *object.Object, delayNs int64) {
 	s := p.slot(t)
 	site := s.site.Load()
 	obj := s.obj.Load()
@@ -168,22 +206,13 @@ func (p *Profiler) SlowPathExit(t *threading.Thread, o *object.Object, delayNs i
 	}
 	s.heldSite.Store(site)
 	s.heldObj.Store(obj)
-	s.acqNs.Store(telemetry.Now())
+	s.acqNs.Store(lockevent.Now())
 	s.heldID.Store(o.ID())
 }
 
-// CASFailure attributes one lock-word CAS retry to the in-flight
-// sampled site, if any.
-func (p *Profiler) CASFailure(t *threading.Thread) {
-	if site := p.slot(t).site.Load(); site != nil {
-		site.CASFailures.Add(1)
-	}
-}
-
-// Park attributes ns of parked (blocked) time to the in-flight sampled
-// site and object, if any. Called from the queued-contention park and
-// the monitor entry queue.
-func (p *Profiler) Park(t *threading.Thread, ns int64) {
+// park attributes ns of parked (blocked) time to the in-flight sampled
+// site and object, if any.
+func (p *Profiler) park(t *threading.Thread, ns int64) {
 	if ns <= 0 {
 		return
 	}
@@ -196,107 +225,56 @@ func (p *Profiler) Park(t *threading.Thread, ns int64) {
 	}
 }
 
-// Inflation records an inflation of o with the given cause. Inflations
-// are rare and are the paper's key distributional event, so they are
-// recorded unconditionally (not sampled): if no sampled site is in
-// flight the site is captured here.
-func (p *Profiler) Inflation(t *threading.Thread, o *object.Object, cause InflationCause) {
-	if cause >= NumCauses {
-		return
+// siteFor returns the record an unsampled protocol transition
+// (inflation, revocation, deflation) is charged to: the in-flight
+// sampled site, or a site captured now. Those transitions are rare and
+// are the paper's key distributional events, so they are recorded on
+// every occurrence. The acting thread is the one that triggered the
+// transition (the inflater, the revoker or the bias owner, the
+// releasing owner that found the monitor quiescent).
+func (p *Profiler) siteFor(t *threading.Thread) *SiteRecord {
+	if site := p.slot(t).site.Load(); site != nil {
+		return site
 	}
-	site := p.slot(t).site.Load()
-	if site == nil {
-		var k SiteKey
-		if t != nil {
-			if method, pc, ok := t.Frame(); ok {
-				k.VMMethod, k.VMPC = method, pc
-			}
-		}
-		if !k.IsVM() {
-			captureGoSite(&k, 1)
-		}
-		site = p.sites.get(k)
-	}
-	if site != nil {
-		site.Inflations[cause].Add(1)
-	}
-	if obj := p.objs.get(o.ID(), o.Class()); obj != nil {
-		obj.Inflations.Add(1)
-	}
+	return p.site(lockevent.CaptureSite(t))
 }
 
-// Revocation records a bias revocation of o with the given cause.
-// Like inflations, revocations are rare protocol transitions and are
-// recorded unconditionally; the acting thread is the one that triggered
-// the revocation (the contender for CauseContention, the bias owner for
-// CauseWait/CauseOverflow), so the captured site is where the
-// reservation was torn down.
-func (p *Profiler) Revocation(t *threading.Thread, o *object.Object, cause InflationCause) {
-	if cause >= NumCauses {
-		return
+// site and obj return the records for a site and an object, inserting
+// them on first sight. When a table is full (it counts the drop) they
+// return a scratch record nobody reads.
+func (p *Profiler) site(k lockevent.SiteKey) *SiteRecord {
+	if e, _ := p.sites.Get(k, k.Hash(), nil); e != nil {
+		return &e.Rec
 	}
-	site := p.slot(t).site.Load()
-	if site == nil {
-		var k SiteKey
-		if t != nil {
-			if method, pc, ok := t.Frame(); ok {
-				k.VMMethod, k.VMPC = method, pc
-			}
-		}
-		if !k.IsVM() {
-			captureGoSite(&k, 1)
-		}
-		site = p.sites.get(k)
-	}
-	if site != nil {
-		site.Revocations[cause].Add(1)
-	}
-	if obj := p.objs.get(o.ID(), o.Class()); obj != nil {
-		obj.Revocations.Add(1)
-	}
+	return &droppedSite
 }
 
-// Deflation records a deflation of o: the final unlock found the fat
-// monitor quiescent and turned it back into a thin lock. Deflations are
-// rare protocol transitions like inflations and are recorded
-// unconditionally; the acting thread is the releasing owner, so the
-// captured site is where the lock went quiescent.
-func (p *Profiler) Deflation(t *threading.Thread, o *object.Object) {
-	site := p.slot(t).site.Load()
-	if site == nil {
-		var k SiteKey
-		if t != nil {
-			if method, pc, ok := t.Frame(); ok {
-				k.VMMethod, k.VMPC = method, pc
-			}
-		}
-		if !k.IsVM() {
-			captureGoSite(&k, 1)
-		}
-		site = p.sites.get(k)
+func (p *Profiler) obj(o *object.Object) *ObjectRecord {
+	if e, _ := p.objs.Get(objKey{o.ID(), o.Class()}, lockevent.Mix64(o.ID()), nil); e != nil {
+		return &e.Rec
 	}
-	if site != nil {
-		site.Deflations.Add(1)
-	}
-	if obj := p.objs.get(o.ID(), o.Class()); obj != nil {
-		obj.Deflations.Add(1)
-	}
+	return &droppedObject
 }
 
-// UnlockSlow is called from slow-path unlocks. If the thread's held
-// sample matches o, the hold time (acquisition to this unlock) is
-// charged to the sampled records and the held state cleared. Inflated
-// locks always unlock through the slow path, so every sampled contended
-// hold is measured; nested fat exits end the measurement at the first
-// (not the final) release, which keeps the hook stateless — treat hold
-// times as a lower bound under deep nesting.
-func (p *Profiler) UnlockSlow(t *threading.Thread, o *object.Object) {
+var (
+	droppedSite   SiteRecord
+	droppedObject ObjectRecord
+)
+
+// unlockSlow runs on slow-path unlocks. If the thread's held sample
+// matches o, the hold time (acquisition to this unlock) is charged to
+// the sampled records and the held state cleared. Inflated locks always
+// unlock through the slow path, so every sampled contended hold is
+// measured; nested fat exits end the measurement at the first (not the
+// final) release, which keeps the sink stateless — treat hold times as
+// a lower bound under deep nesting.
+func (p *Profiler) unlockSlow(t *threading.Thread, o *object.Object) {
 	s := p.slot(t)
 	if s.heldID.Load() != o.ID() {
 		return
 	}
 	s.heldID.Store(0)
-	ns := telemetry.Now() - s.acqNs.Load()
+	ns := lockevent.Now() - s.acqNs.Load()
 	if ns < 0 {
 		ns = 0
 	}
@@ -308,80 +286,32 @@ func (p *Profiler) UnlockSlow(t *threading.Thread, o *object.Object) {
 	}
 	// The measured hold also feeds the global hold-time distribution, so
 	// windowed hold percentiles (lockscope) exist without per-site math.
-	telemetry.Observe(t, telemetry.HistHoldNs, ns)
+	if m := telemetry.Active(); m != nil {
+		m.Observe(t, telemetry.HistHoldNs, ns)
+	}
 }
 
 // Drops reports how many events the bounded tables discarded.
 func (p *Profiler) Drops() (sites, objects uint64) {
-	return p.sites.drops.Load(), p.objs.drops.Load()
+	return p.sites.Drops(), p.objs.Drops()
 }
 
-// active is the globally installed Profiler the hook helpers feed.
-var active atomic.Pointer[Profiler]
-
-// Enable installs p as the global hook target (nil disables) and
+// Enable installs p as the pipeline's profiler sink (nil disables) and
 // returns p.
 func Enable(p *Profiler) *Profiler {
-	active.Store(p)
+	if p == nil {
+		Disable()
+		return nil
+	}
+	lockevent.Install(lockevent.SlotProfiler, p)
 	return p
 }
 
-// Disable uninstalls the global hook target.
-func Disable() { active.Store(nil) }
+// Disable uninstalls the profiler sink.
+func Disable() { lockevent.Install(lockevent.SlotProfiler, nil) }
 
-// Active returns the installed Profiler, or nil when disabled. Slow
-// paths that fire several hooks load it once.
-func Active() *Profiler { return active.Load() }
-
-// Enabled reports whether a global Profiler is installed.
-//
-//lockvet:noalloc
-func Enabled() bool { return active.Load() != nil }
-
-// CASFailure records a CAS retry on the installed Profiler; a no-op
-// (one atomic load, one branch, no allocation) when disabled.
-func CASFailure(t *threading.Thread) {
-	if p := active.Load(); p != nil {
-		p.CASFailure(t)
-	}
-}
-
-// Inflation records an inflation on the installed Profiler; no-op when
-// disabled.
-func Inflation(t *threading.Thread, o *object.Object, cause InflationCause) {
-	if p := active.Load(); p != nil {
-		p.Inflation(t, o, cause)
-	}
-}
-
-// Revocation records a bias revocation on the installed Profiler;
-// no-op when disabled.
-func Revocation(t *threading.Thread, o *object.Object, cause InflationCause) {
-	if p := active.Load(); p != nil {
-		p.Revocation(t, o, cause)
-	}
-}
-
-// Deflation records a deflation on the installed Profiler; no-op when
-// disabled.
-func Deflation(t *threading.Thread, o *object.Object) {
-	if p := active.Load(); p != nil {
-		p.Deflation(t, o)
-	}
-}
-
-// Park records parked time on the installed Profiler; no-op when
-// disabled.
-func Park(t *threading.Thread, ns int64) {
-	if p := active.Load(); p != nil {
-		p.Park(t, ns)
-	}
-}
-
-// UnlockSlow records a slow-path unlock on the installed Profiler;
-// no-op when disabled.
-func UnlockSlow(t *threading.Thread, o *object.Object) {
-	if p := active.Load(); p != nil {
-		p.UnlockSlow(t, o)
-	}
+// Active returns the installed Profiler, or nil when disabled.
+func Active() *Profiler {
+	p, _ := lockevent.Installed(lockevent.SlotProfiler).(*Profiler)
+	return p
 }

@@ -8,10 +8,12 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"thinlock/internal/biased"
 	"thinlock/internal/core"
 	"thinlock/internal/lockprof"
 	"thinlock/internal/object"
 	"thinlock/internal/telemetry"
+	"thinlock/internal/testutil"
 	"thinlock/internal/threading"
 )
 
@@ -340,5 +342,57 @@ func TestConcurrentHooksAreRaceFree(t *testing.T) {
 	snap := p.Snapshot()
 	if len(snap.Sites) == 0 {
 		t.Fatal("no sites after concurrent hammering")
+	}
+}
+
+// TestBiasedContentionLabelledAtCaller: a contended acquisition of a
+// biased lock revokes the reservation inside internal/biased; the
+// profiled sites must still be labelled at the workload frame that
+// asked for the lock, not at lock machinery.
+func TestBiasedContentionLabelledAtCaller(t *testing.T) {
+	p := lockprof.Enable(lockprof.New(lockprof.Config{SampleEvery: 1}))
+	defer lockprof.Disable()
+	l := biased.New(biased.Options{})
+	reg := threading.NewRegistry()
+	owner, err := reg.Attach("owner")
+	if err != nil {
+		t.Fatal(err)
+	}
+	contender, err := reg.Attach("contender")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := object.NewHeap().New("Object")
+
+	l.Lock(owner, o) // reserves o for owner, held
+	done := make(chan error)
+	go func() {
+		l.Lock(contender, o) // revokes owner's reservation, then waits
+		done <- l.Unlock(contender, o)
+	}()
+	testutil.Eventually(t, 0, "contender revokes the reservation", func() bool {
+		return l.Stats().RevocationsContention > 0
+	})
+	if err := l.Unlock(owner, o); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	var revoked bool
+	for _, s := range p.Snapshot().Sites {
+		if strings.Contains(s.Label, "internal/biased") {
+			t.Errorf("site labelled at lock machinery: %q", s.Label)
+		}
+		if s.RevocationTotal() > 0 {
+			revoked = true
+			if !strings.Contains(s.Label, "TestBiasedContentionLabelledAtCaller") {
+				t.Errorf("revocation site %q is not the contending caller", s.Label)
+			}
+		}
+	}
+	if !revoked {
+		t.Fatal("no site recorded the revocation (test measured the wrong path)")
 	}
 }

@@ -1,58 +1,27 @@
 package lockprof
 
-import "sync/atomic"
+import (
+	"sync/atomic"
 
-// InflationCause classifies why a thin lock inflated, mirroring the
-// three inflation counters of internal/telemetry (and of the paper's
-// protocol: contention for the lock word, nested-count overflow, and a
-// wait operation on a thin-locked object).
-type InflationCause uint8
-
-const (
-	// CauseContention marks inflation after a contended acquisition.
-	CauseContention InflationCause = iota
-	// CauseOverflow marks inflation by nested-count overflow.
-	CauseOverflow
-	// CauseWait marks inflation by a wait on a thin-locked object.
-	CauseWait
-
-	// NumCauses is the number of inflation causes.
-	NumCauses
+	"thinlock/internal/lockevent"
 )
-
-// String returns the cause's stable label.
-func (c InflationCause) String() string {
-	switch c {
-	case CauseContention:
-		return "contention"
-	case CauseOverflow:
-		return "overflow"
-	case CauseWait:
-		return "wait"
-	default:
-		return "unknown"
-	}
-}
 
 // SiteRecord accumulates events attributed to one lock-acquisition
 // site. All fields are atomics so hooks never take a lock; a record is
 // published once into the site table and then only ever added to.
 type SiteRecord struct {
-	// Key identifies the site.
-	Key SiteKey
-
 	// SlowEntries counts sampled slow-path acquisitions at this site.
 	SlowEntries atomic.Uint64
 	// CASFailures counts lock-word compare-and-swap retries observed
 	// while a sampled acquisition from this site was in flight.
 	CASFailures atomic.Uint64
 	// Inflations counts inflations triggered at this site, by cause.
-	Inflations [NumCauses]atomic.Uint64
+	Inflations [lockevent.NumCauses]atomic.Uint64
 	// Revocations counts bias revocations triggered at this site, by
 	// cause (the causes mirror inflation: contention by a second thread,
 	// nested overflow past the biased depth limit, or a Wait). Only the
 	// biased implementation feeds these.
-	Revocations [NumCauses]atomic.Uint64
+	Revocations [lockevent.NumCauses]atomic.Uint64
 	// Deflations counts fat locks deflated back to thin at this site
 	// (the site of the final unlock that found the monitor quiescent).
 	// Only deflating implementations feed this; there is no cause
@@ -95,11 +64,6 @@ func (r *SiteRecord) RevocationTotal() uint64 {
 // per-monitor provenance view (which objects are hot, per the paper's
 // Figure 4/5 locality-of-contention discussion).
 type ObjectRecord struct {
-	// ID is the object's heap allocation id.
-	ID uint64
-	// Class is the object's class tag at first observation.
-	Class string
-
 	// SlowEntries counts sampled slow-path acquisitions of this object.
 	SlowEntries atomic.Uint64
 	// Inflations counts inflations of this object (any cause).

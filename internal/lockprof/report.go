@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 
+	"thinlock/internal/lockevent"
 	"thinlock/internal/telemetry"
 )
 
@@ -17,7 +18,7 @@ type SiteStat struct {
 	// Kind is "vm" or "go".
 	Kind string `json:"kind"`
 	// Frames is the symbolized stack, leaf first.
-	Frames []Frame `json:"frames"`
+	Frames []lockevent.Frame `json:"frames"`
 
 	SlowEntries uint64            `json:"slow_entries"`
 	CASFailures uint64            `json:"cas_failures"`
@@ -28,7 +29,7 @@ type SiteStat struct {
 	DelayNs     uint64            `json:"delay_ns"`
 	HoldNs      uint64            `json:"hold_ns"`
 
-	key SiteKey
+	key lockevent.SiteKey
 }
 
 // InflationTotal sums the per-cause inflation counts.
@@ -84,14 +85,15 @@ type Snapshot struct {
 func (p *Profiler) Snapshot() *Snapshot {
 	snap := &Snapshot{
 		SampleEvery: int(p.sampleEvery),
-		DurationNs:  telemetry.Now() - p.startNs,
+		DurationNs:  lockevent.Now() - p.startNs,
 	}
 	snap.SiteDrops, snap.ObjectDrops = p.Drops()
 
-	for _, r := range p.sites.snapshot() {
-		frames := r.Key.symbolize()
+	for _, e := range p.sites.Entries() {
+		r, k := &e.Rec, e.Key
+		frames := k.Frames()
 		st := SiteStat{
-			Label:       label(frames),
+			Label:       lockevent.LabelFrames(frames),
 			Kind:        "go",
 			Frames:      frames,
 			SlowEntries: r.SlowEntries.Load(),
@@ -100,25 +102,25 @@ func (p *Profiler) Snapshot() *Snapshot {
 			ParkNs:      r.ParkNs.Load(),
 			DelayNs:     r.DelayNs.Load(),
 			HoldNs:      r.HoldNs.Load(),
-			key:         r.Key,
+			key:         k,
 		}
-		if r.Key.IsVM() {
+		if k.IsVM() {
 			st.Kind = "vm"
-			st.Label = fmt.Sprintf("%s@%d", r.Key.VMMethod, r.Key.VMPC)
-			if r.Key.VMPC < 0 {
-				st.Label = r.Key.VMMethod + "@sync-entry"
+			st.Label = fmt.Sprintf("%s@%d", k.VMMethod, k.VMPC)
+			if k.VMPC < 0 {
+				st.Label = k.VMMethod + "@sync-entry"
 			}
 		}
-		for c := InflationCause(0); c < NumCauses; c++ {
+		for c := lockevent.Cause(0); c < lockevent.NumCauses; c++ {
 			if n := r.Inflations[c].Load(); n > 0 {
 				if st.Inflations == nil {
-					st.Inflations = make(map[string]uint64, int(NumCauses))
+					st.Inflations = make(map[string]uint64, int(lockevent.NumCauses))
 				}
 				st.Inflations[c.String()] = n
 			}
 			if n := r.Revocations[c].Load(); n > 0 {
 				if st.Revocations == nil {
-					st.Revocations = make(map[string]uint64, int(NumCauses))
+					st.Revocations = make(map[string]uint64, int(lockevent.NumCauses))
 				}
 				st.Revocations[c.String()] = n
 			}
@@ -137,10 +139,11 @@ func (p *Profiler) Snapshot() *Snapshot {
 		return a.Label < b.Label
 	})
 
-	for _, r := range p.objs.snapshot() {
+	for _, e := range p.objs.Entries() {
+		r := &e.Rec
 		snap.Objects = append(snap.Objects, ObjectStat{
-			ID:          r.ID,
-			Class:       r.Class,
+			ID:          e.Key.id,
+			Class:       e.Key.class,
 			SlowEntries: r.SlowEntries.Load(),
 			Inflations:  r.Inflations.Load(),
 			Revocations: r.Revocations.Load(),
@@ -198,13 +201,13 @@ func mergeSitesByLabel(sites []SiteStat) []SiteStat {
 		dst.HoldNs += st.HoldNs
 		for cause, n := range st.Inflations {
 			if dst.Inflations == nil {
-				dst.Inflations = make(map[string]uint64, int(NumCauses))
+				dst.Inflations = make(map[string]uint64, int(lockevent.NumCauses))
 			}
 			dst.Inflations[cause] += n
 		}
 		for cause, n := range st.Revocations {
 			if dst.Revocations == nil {
-				dst.Revocations = make(map[string]uint64, int(NumCauses))
+				dst.Revocations = make(map[string]uint64, int(lockevent.NumCauses))
 			}
 			dst.Revocations[cause] += n
 		}

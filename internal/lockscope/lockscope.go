@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"thinlock/internal/lockevent"
 	"thinlock/internal/telemetry"
 )
 
@@ -114,7 +115,7 @@ type Config struct {
 	// globally installed telemetry and the SiteSource hook. Tests
 	// inject fixtures here.
 	Source func() (telemetry.Snapshot, []SiteCount)
-	// NowNs overrides the monotonic clock; nil uses telemetry.Now.
+	// NowNs overrides the monotonic clock; nil uses lockevent.Now.
 	NowNs func() int64
 }
 
@@ -195,7 +196,7 @@ func New(cfg Config) *Scope {
 		cfg.Source = defaultSource
 	}
 	if cfg.NowNs == nil {
-		cfg.NowNs = telemetry.Now
+		cfg.NowNs = lockevent.Now
 	}
 	s := &Scope{
 		interval: cfg.Interval,

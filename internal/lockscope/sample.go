@@ -42,7 +42,7 @@ type Sample struct {
 	// monotonic; the ring retains the newest Capacity of them).
 	Index uint64 `json:"index"`
 	// AtNs is the window's end, in monotonic nanoseconds since process
-	// start (telemetry.Now).
+	// start (lockevent.Now).
 	AtNs int64 `json:"at_ns"`
 	// WindowNs is the measured window duration (nominally the sampling
 	// interval; ForceSample cuts shorter windows).

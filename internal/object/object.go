@@ -37,18 +37,23 @@ type Object struct {
 }
 
 // ID returns the object's allocation id (0 for a zero-value Object).
+// Ids are unique across every heap in the process, so they can key
+// process-wide tables (lockdep's order graph, lockprof's object table).
 func (o *Object) ID() uint64 { return o.id }
 
 // Class returns the object's class tag ("" for a zero-value Object).
 func (o *Object) Class() string { return o.class }
 
-// String implements fmt.Stringer.
-func (o *Object) String() string {
-	c := o.class
-	if c == "" {
-		c = "object"
+// String implements fmt.Stringer (see Name).
+func (o *Object) String() string { return Name(o.class, o.id) }
+
+// Name is the display name of the object of class with id: the class
+// and the object's serial within its heap ("Vector#1").
+func Name(class string, id uint64) string {
+	if class == "" {
+		class = "object"
 	}
-	return fmt.Sprintf("%s#%d", c, o.id)
+	return fmt.Sprintf("%s#%d", class, id&serialMask)
 }
 
 // Header returns the current header word. The load is atomic but carries
@@ -101,22 +106,31 @@ func (o *Object) ClearFlagBits(bits uint32) {
 // Heap allocates objects and tracks the allocation statistics reported in
 // the paper's Table 1.
 type Heap struct {
+	base      uint64 // added to the heap's serial to form an object id
 	allocated atomic.Uint64
 }
 
-// NewHeap returns an empty heap.
-func NewHeap() *Heap { return &Heap{} }
+// heaps numbers the heaps of the process, once per heap: an object id
+// is its heap's number in the high half and its serial within the heap
+// in the low half, which is what String prints.
+var heaps atomic.Uint64
+
+const serialMask = 1<<32 - 1
+
+// NewHeap returns an empty heap whose ids no other heap uses; the first
+// heap of a process numbers its objects 1, 2, ...
+func NewHeap() *Heap { return &Heap{base: (heaps.Add(1) - 1) << 32} }
 
 // New allocates an object of the given class. The low 8 header bits are
 // seeded with a nonzero pseudo-hash derived from the allocation id, as a
 // real VM would store hash or GC bits there.
 func (h *Heap) New(class string) *Object {
-	id := h.allocated.Add(1)
-	o := &Object{id: id, class: class}
-	// Mix the id so consecutive allocations get differing misc bits,
+	serial := h.allocated.Add(1)
+	o := &Object{id: h.base + serial, class: class}
+	// Mix the serial so consecutive allocations get differing misc bits,
 	// and force the result nonzero: constant-zero misc bits would hide
 	// a whole family of lock-word encoding bugs.
-	misc := uint32(id*2654435761) & MiscMask
+	misc := uint32(serial*2654435761) & MiscMask
 	if misc == 0 {
 		misc = 0xA5
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"thinlock/internal/core"
+	"thinlock/internal/lockevent"
 	"thinlock/internal/object"
 	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
@@ -176,7 +177,7 @@ func BenchmarkHookDispatch(b *testing.B) {
 		telemetry.Disable()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			telemetry.Inc(nil, telemetry.CtrSlowPathEntries)
+			lockevent.Count(nil, telemetry.CtrSlowPathEntries)
 		}
 	})
 	b.Run("Enabled", func(b *testing.B) {
@@ -184,7 +185,7 @@ func BenchmarkHookDispatch(b *testing.B) {
 		defer telemetry.Disable()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			telemetry.Inc(nil, telemetry.CtrSlowPathEntries)
+			lockevent.Count(nil, telemetry.CtrSlowPathEntries)
 		}
 	})
 }

@@ -13,12 +13,15 @@
 //   - recording a counter is one atomic add into a shard selected by the
 //     acting thread's index, so concurrent threads do not share cache
 //     lines on the hot counters;
-//   - every hook site is guarded by a single atomic pointer load
-//     (Active/Enabled); with telemetry disabled a hook compiles to a
-//     load, a compare and a not-taken branch, and allocates nothing;
-//   - hooks live only on slow paths (lock slow path, monitor queueing,
-//     cache lookups) plus the VM's monitorenter/monitorexit dispatch —
-//     the paper's 17-instruction thin-lock fast path is untouched.
+//   - a Telemetry is a sink of the internal/lockevent pipeline: Enable
+//     installs it in the pipeline's telemetry slot, and Event maps each
+//     lock event onto its counter or histogram. With telemetry disabled
+//     an event site costs what lockevent's contract says (one load, a
+//     not-taken branch, no allocation);
+//   - events come only from slow paths (lock slow path, monitor
+//     queueing, cache lookups) plus the VM's monitorenter/monitorexit
+//     dispatch — the paper's 17-instruction thin-lock fast path is
+//     untouched.
 //
 // The overhead contract is enforced by the benchmarks and allocation
 // tests in overhead_test.go.
@@ -27,158 +30,55 @@ package telemetry
 import (
 	"math/bits"
 	"sync/atomic"
-	"time"
 
+	"thinlock/internal/lockevent"
 	"thinlock/internal/threading"
 )
 
-// Counter enumerates the runtime counters. The order defines the layout
-// of a shard and of Snapshot arrays; names are given by Name.
-type Counter uint8
+// Counter enumerates the runtime counters. The vocabulary lives in
+// internal/lockevent, through which the lock paths report them; the
+// order defines the layout of a shard and of Snapshot arrays, and names
+// are given by Name.
+type Counter = lockevent.Counter
 
+// The counters, named here for readers of this package.
 const (
-	// CtrSlowPathEntries counts thin-lock acquisitions that left the
-	// inlined fast path (nested locks, inflated locks, contention).
-	CtrSlowPathEntries Counter = iota
-	// CtrCASFailures counts compare-and-swap attempts on the lock word
-	// that lost a race and had to retry.
-	CtrCASFailures
-	// CtrInflationsContention counts inflations caused by contention for
-	// a thin lock.
-	CtrInflationsContention
-	// CtrInflationsOverflow counts inflations caused by nested-count
-	// overflow.
-	CtrInflationsOverflow
-	// CtrInflationsWait counts inflations caused by waiting on a
-	// thin-locked object.
-	CtrInflationsWait
-	// CtrDeflations counts fat locks turned back into thin locks.
-	CtrDeflations
-	// CtrSpinRounds counts individual back-off pauses while spinning on
-	// a thin lock held by another thread.
-	CtrSpinRounds
-	// CtrQueuedParks counts contenders parked on a flat-lock-contention
-	// queue (queued-inflation extension).
-	CtrQueuedParks
-	// CtrFLCWakeups counts owner-side contention-queue wakeups.
-	CtrFLCWakeups
-	// CtrMonitorContendedEntries counts monitor entries that had to join
-	// the entry queue.
-	CtrMonitorContendedEntries
-	// CtrMonitorHandoffs counts direct ownership handoffs from an
-	// exiting owner to the head of the entry queue.
-	CtrMonitorHandoffs
-	// CtrMonitorRetirements counts monitors retired by the deflation
-	// extension.
-	CtrMonitorRetirements
-	// CtrWaits counts monitor Wait calls.
-	CtrWaits
-	// CtrWaitTimerWakeups counts waits whose wakeup came from the timer
-	// rather than a notification.
-	CtrWaitTimerWakeups
-	// CtrNotifies counts Notify and NotifyAll calls.
-	CtrNotifies
-	// CtrVMMonitorEnter counts monitorenter opcodes executed by the
-	// bytecode interpreter.
-	CtrVMMonitorEnter
-	// CtrVMMonitorExit counts monitorexit opcodes executed by the
-	// bytecode interpreter.
-	CtrVMMonitorExit
-	// CtrCacheLookups counts JDK111 monitor-cache consultations.
-	CtrCacheLookups
-	// CtrCacheMisses counts JDK111 lookups that had to bind a monitor.
-	CtrCacheMisses
-	// CtrCacheSweeps counts JDK111 free-list refill sweeps.
-	CtrCacheSweeps
-	// CtrHotOps counts IBM112 operations served through a hot slot.
-	CtrHotOps
-	// CtrColdOps counts IBM112 operations that went through the cold
-	// cache.
-	CtrColdOps
-	// CtrHotPromotions counts IBM112 objects promoted to hot slots.
-	CtrHotPromotions
-	// CtrColdSweeps counts IBM112 cold-cache cleanup scans.
-	CtrColdSweeps
-	// CtrBiasInstalls counts bias reservations installed on previously
-	// unlocked objects.
-	CtrBiasInstalls
-	// CtrBiasedAcquires counts lock acquisitions served by the biased
-	// owner fast path (no read-modify-write atomics).
-	CtrBiasedAcquires
-	// CtrBiasTransfers counts stale-epoch reservations transferred to a
-	// new owner without a full revocation.
-	CtrBiasTransfers
-	// CtrBiasRevocationsContention counts revocations forced by a second
-	// thread contending for a biased object.
-	CtrBiasRevocationsContention
-	// CtrBiasRevocationsWait counts owner self-revocations forced by
-	// Wait on a biased object.
-	CtrBiasRevocationsWait
-	// CtrBiasRevocationsOverflow counts owner self-revocations forced by
-	// recursion past the biased depth limit.
-	CtrBiasRevocationsOverflow
-	// CtrBulkRebiases counts class-epoch bumps (bulk rebias heuristic).
-	CtrBulkRebiases
-	// CtrBulkRevokes counts classes declared unbiasable (bulk revoke).
-	CtrBulkRevokes
-	// CtrMonitorFrees counts monitor indices returned to the table's
-	// recycler after deflation (compact-monitor extension).
-	CtrMonitorFrees
-	// CtrMonitorRecycles counts inflations served with a recycled
-	// monitor index instead of extending the table.
-	CtrMonitorRecycles
-
-	// NumCounters is the number of defined counters.
-	NumCounters
+	CtrSlowPathEntries           = lockevent.CtrSlowPathEntries
+	CtrCASFailures               = lockevent.CtrCASFailures
+	CtrInflationsContention      = lockevent.CtrInflationsContention
+	CtrInflationsOverflow        = lockevent.CtrInflationsOverflow
+	CtrInflationsWait            = lockevent.CtrInflationsWait
+	CtrDeflations                = lockevent.CtrDeflations
+	CtrSpinRounds                = lockevent.CtrSpinRounds
+	CtrQueuedParks               = lockevent.CtrQueuedParks
+	CtrFLCWakeups                = lockevent.CtrFLCWakeups
+	CtrMonitorContendedEntries   = lockevent.CtrMonitorContendedEntries
+	CtrMonitorHandoffs           = lockevent.CtrMonitorHandoffs
+	CtrMonitorRetirements        = lockevent.CtrMonitorRetirements
+	CtrWaits                     = lockevent.CtrWaits
+	CtrWaitTimerWakeups          = lockevent.CtrWaitTimerWakeups
+	CtrNotifies                  = lockevent.CtrNotifies
+	CtrVMMonitorEnter            = lockevent.CtrVMMonitorEnter
+	CtrVMMonitorExit             = lockevent.CtrVMMonitorExit
+	CtrCacheLookups              = lockevent.CtrCacheLookups
+	CtrCacheMisses               = lockevent.CtrCacheMisses
+	CtrCacheSweeps               = lockevent.CtrCacheSweeps
+	CtrHotOps                    = lockevent.CtrHotOps
+	CtrColdOps                   = lockevent.CtrColdOps
+	CtrHotPromotions             = lockevent.CtrHotPromotions
+	CtrColdSweeps                = lockevent.CtrColdSweeps
+	CtrBiasInstalls              = lockevent.CtrBiasInstalls
+	CtrBiasedAcquires            = lockevent.CtrBiasedAcquires
+	CtrBiasTransfers             = lockevent.CtrBiasTransfers
+	CtrBiasRevocationsContention = lockevent.CtrBiasRevocationsContention
+	CtrBiasRevocationsWait       = lockevent.CtrBiasRevocationsWait
+	CtrBiasRevocationsOverflow   = lockevent.CtrBiasRevocationsOverflow
+	CtrBulkRebiases              = lockevent.CtrBulkRebiases
+	CtrBulkRevokes               = lockevent.CtrBulkRevokes
+	CtrMonitorFrees              = lockevent.CtrMonitorFrees
+	CtrMonitorRecycles           = lockevent.CtrMonitorRecycles
+	NumCounters                  = lockevent.NumCounters
 )
-
-// counterNames are the stable metric names (snake_case, used as JSON
-// keys and, prefixed, as Prometheus metric names).
-var counterNames = [NumCounters]string{
-	CtrSlowPathEntries:         "slow_path_entries",
-	CtrCASFailures:             "cas_failures",
-	CtrInflationsContention:    "inflations_contention",
-	CtrInflationsOverflow:      "inflations_overflow",
-	CtrInflationsWait:          "inflations_wait",
-	CtrDeflations:              "deflations",
-	CtrSpinRounds:              "spin_rounds",
-	CtrQueuedParks:             "queued_parks",
-	CtrFLCWakeups:              "flc_wakeups",
-	CtrMonitorContendedEntries: "monitor_contended_entries",
-	CtrMonitorHandoffs:         "monitor_handoffs",
-	CtrMonitorRetirements:      "monitor_retirements",
-	CtrWaits:                   "waits",
-	CtrWaitTimerWakeups:        "wait_timer_wakeups",
-	CtrNotifies:                "notifies",
-	CtrVMMonitorEnter:          "vm_monitorenter_ops",
-	CtrVMMonitorExit:           "vm_monitorexit_ops",
-	CtrCacheLookups:            "cache_lookups",
-	CtrCacheMisses:             "cache_misses",
-	CtrCacheSweeps:             "cache_sweeps",
-	CtrHotOps:                  "hot_ops",
-	CtrColdOps:                 "cold_ops",
-	CtrHotPromotions:           "hot_promotions",
-	CtrColdSweeps:              "cold_sweeps",
-	CtrBiasInstalls:            "bias_installs",
-	CtrBiasedAcquires:          "biased_acquires",
-	CtrBiasTransfers:           "bias_transfers",
-
-	CtrBiasRevocationsContention: "bias_revocations_contention",
-	CtrBiasRevocationsWait:       "bias_revocations_wait",
-	CtrBiasRevocationsOverflow:   "bias_revocations_overflow",
-	CtrBulkRebiases:              "bulk_rebiases",
-	CtrBulkRevokes:               "bulk_revokes",
-	CtrMonitorFrees:              "monitor_frees",
-	CtrMonitorRecycles:           "monitor_recycles",
-}
-
-// Name returns the counter's stable metric name.
-func (c Counter) Name() string {
-	if c >= NumCounters {
-		return "unknown"
-	}
-	return counterNames[c]
-}
 
 // Histo enumerates the latency/depth histograms.
 type Histo uint8
@@ -352,65 +252,90 @@ func (m *Telemetry) Counter(c Counter) uint64 {
 	return n
 }
 
-// active is the globally installed Telemetry the hook helpers feed.
-var active atomic.Pointer[Telemetry]
+// inflationCounter and revocationCounter map a lockevent.Cause onto
+// its counter.
+var (
+	inflationCounter = [lockevent.NumCauses]Counter{
+		lockevent.CauseContention: CtrInflationsContention,
+		lockevent.CauseOverflow:   CtrInflationsOverflow,
+		lockevent.CauseWait:       CtrInflationsWait,
+	}
+	revocationCounter = [lockevent.NumCauses]Counter{
+		lockevent.CauseContention: CtrBiasRevocationsContention,
+		lockevent.CauseOverflow:   CtrBiasRevocationsOverflow,
+		lockevent.CauseWait:       CtrBiasRevocationsWait,
+	}
+)
 
-// base anchors Now; time.Since on a monotonic base compiles to a
-// nanotime read and a subtraction, with no allocation.
-var base = time.Now()
+// Kinds implements lockevent.Sink: every kind that feeds a counter or a
+// histogram.
+func (m *Telemetry) Kinds() lockevent.Mask {
+	return lockevent.Of(lockevent.KindSlowEnter, lockevent.KindSlowExit,
+		lockevent.KindCASFail, lockevent.KindSpin, lockevent.KindUnblocked,
+		lockevent.KindEnqueue, lockevent.KindPark, lockevent.KindInflate,
+		lockevent.KindDeflate, lockevent.KindRevoke, lockevent.KindHandoff,
+		lockevent.KindNotify, lockevent.KindCount)
+}
 
-// Enable installs m as the global hook target (nil disables) and
+// Event implements lockevent.Sink, recording e in its thread's shard.
+//
+//lockvet:noalloc
+func (m *Telemetry) Event(e lockevent.Event) {
+	t := e.T
+	switch e.Kind {
+	case lockevent.KindSlowEnter:
+		m.Inc(t, CtrSlowPathEntries)
+	case lockevent.KindSlowExit:
+		m.Observe(t, HistAcquireSlowNs, e.N)
+	case lockevent.KindCASFail:
+		m.Inc(t, CtrCASFailures)
+	case lockevent.KindSpin:
+		m.Inc(t, CtrSpinRounds)
+	case lockevent.KindUnblocked:
+		// The bias revocation handshake is the one blocking episode that
+		// does not end in an acquisition.
+		if lockevent.WaitKind(e.Arg) == lockevent.WaitRevocation {
+			m.Observe(t, HistBiasHandshakeNs, e.N)
+		}
+	case lockevent.KindEnqueue:
+		m.Inc(t, CtrMonitorContendedEntries)
+		m.Observe(t, HistEntryQueueDepth, e.N)
+	case lockevent.KindPark:
+		if lockevent.WaitKind(e.Arg) == lockevent.WaitQueued {
+			m.Inc(t, CtrQueuedParks)
+		}
+		m.Observe(t, HistMonitorStallNs, e.N)
+	case lockevent.KindInflate:
+		m.Inc(t, inflationCounter[e.Arg])
+	case lockevent.KindDeflate:
+		m.Inc(t, CtrDeflations)
+	case lockevent.KindRevoke:
+		m.Inc(t, revocationCounter[e.Arg])
+	case lockevent.KindHandoff:
+		m.Inc(t, CtrMonitorHandoffs)
+	case lockevent.KindNotify:
+		m.Inc(t, CtrNotifies)
+	case lockevent.KindCount:
+		m.Inc(t, Counter(e.Arg))
+	}
+}
+
+// Enable installs m as the pipeline's telemetry sink (nil disables) and
 // returns m.
 func Enable(m *Telemetry) *Telemetry {
-	active.Store(m)
+	if m == nil {
+		Disable()
+		return nil
+	}
+	lockevent.Install(lockevent.SlotTelemetry, m)
 	return m
 }
 
-// Disable uninstalls the global hook target.
-func Disable() { active.Store(nil) }
+// Disable uninstalls the telemetry sink.
+func Disable() { lockevent.Install(lockevent.SlotTelemetry, nil) }
 
-// Active returns the installed Telemetry, or nil when disabled. Hook
-// sites that need several recordings (or a timestamp) load it once.
-//
-//lockvet:noalloc
-func Active() *Telemetry { return active.Load() }
-
-// Enabled reports whether a global Telemetry is installed.
-//
-//lockvet:noalloc
-func Enabled() bool { return active.Load() != nil }
-
-// Inc records 1 to c on the installed Telemetry; a no-op (one atomic
-// load, one branch, no allocation) when disabled.
-//
-//lockvet:noalloc
-func Inc(t *threading.Thread, c Counter) {
-	if m := active.Load(); m != nil {
-		m.Inc(t, c)
-	}
+// Active returns the installed Telemetry, or nil when disabled.
+func Active() *Telemetry {
+	m, _ := lockevent.Installed(lockevent.SlotTelemetry).(*Telemetry)
+	return m
 }
-
-// Add records n to c on the installed Telemetry; no-op when disabled.
-//
-//lockvet:noalloc
-func Add(t *threading.Thread, c Counter, n uint64) {
-	if m := active.Load(); m != nil {
-		m.Add(t, c, n)
-	}
-}
-
-// Observe records v into h on the installed Telemetry; no-op when
-// disabled.
-//
-//lockvet:noalloc
-func Observe(t *threading.Thread, h Histo, v int64) {
-	if m := active.Load(); m != nil {
-		m.Observe(t, h, v)
-	}
-}
-
-// Now returns monotonic nanoseconds since process start, suitable for
-// latency observations. It does not allocate.
-//
-//lockvet:noalloc
-func Now() int64 { return int64(time.Since(base)) }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"thinlock/internal/lockevent"
 	"thinlock/internal/telemetry"
 	"thinlock/internal/threading"
 )
@@ -317,8 +318,8 @@ func TestSnapshotString(t *testing.T) {
 
 func TestNowIsMonotonic(t *testing.T) {
 	t.Parallel()
-	a := telemetry.Now()
-	b := telemetry.Now()
+	a := lockevent.Now()
+	b := lockevent.Now()
 	if b < a {
 		t.Errorf("Now went backwards: %d then %d", a, b)
 	}
@@ -368,26 +369,29 @@ func TestConcurrentRecordingAndSnapshot(t *testing.T) {
 	}
 }
 
-// TestGlobalEnableDisable exercises the package-level hook funnel. Not
-// parallel: it owns the global registration (parallel tests in this
-// package only start after sequential ones finish).
+// TestGlobalEnableDisable exercises the event pipeline into the
+// installed instance. Not parallel: it owns the global registration
+// (parallel tests in this package only start after sequential ones
+// finish).
 func TestGlobalEnableDisable(t *testing.T) {
-	if telemetry.Enabled() {
+	if telemetry.Active() != nil {
 		t.Fatal("telemetry unexpectedly enabled at test start")
 	}
-	// Disabled: all hooks are no-ops.
-	telemetry.Inc(nil, telemetry.CtrWaits)
-	telemetry.Add(nil, telemetry.CtrWaits, 3)
-	telemetry.Observe(nil, telemetry.HistMonitorStallNs, 1)
+	// Disabled: all events are no-ops.
+	for i := 0; i < 4; i++ {
+		lockevent.Count(nil, telemetry.CtrWaits)
+	}
+	lockevent.Park(nil, nil, lockevent.WaitFat, lockevent.Stamp(lockevent.KindPark))
 
 	m := telemetry.Enable(telemetry.New())
 	defer telemetry.Disable()
-	if !telemetry.Enabled() || telemetry.Active() != m {
+	if telemetry.Active() != m {
 		t.Fatal("Enable did not install the instance")
 	}
-	telemetry.Inc(nil, telemetry.CtrWaits)
-	telemetry.Add(nil, telemetry.CtrWaits, 2)
-	telemetry.Observe(nil, telemetry.HistMonitorStallNs, 64)
+	for i := 0; i < 3; i++ {
+		lockevent.Count(nil, telemetry.CtrWaits)
+	}
+	lockevent.Park(nil, nil, lockevent.WaitFat, lockevent.Stamp(lockevent.KindPark))
 	if got := m.Counter(telemetry.CtrWaits); got != 3 {
 		t.Errorf("enabled hooks recorded %d, want 3", got)
 	}
@@ -396,11 +400,11 @@ func TestGlobalEnableDisable(t *testing.T) {
 	}
 
 	telemetry.Disable()
-	telemetry.Inc(nil, telemetry.CtrWaits)
+	lockevent.Count(nil, telemetry.CtrWaits)
 	if got := m.Counter(telemetry.CtrWaits); got != 3 {
 		t.Errorf("disabled hook still recorded: %d", got)
 	}
-	if telemetry.Enabled() {
+	if telemetry.Active() != nil {
 		t.Error("Disable did not uninstall")
 	}
 }

@@ -49,6 +49,7 @@ type Thread struct {
 	shifted uint32
 
 	name        string
+	proc        uint32 // see ProcIndex
 	registry    *Registry
 	parker      Parker
 	interrupted atomic.Bool
@@ -88,6 +89,45 @@ func (t *Thread) Index() uint16 { return uint16(t.shifted >> IndexShift) }
 // Shifted returns the pre-shifted index, ready to be ORed into a lock
 // word.
 func (t *Thread) Shifted() uint32 { return t.shifted }
+
+// ProcIndex returns a number no other thread attached in the process,
+// in any registry, has at the same time (reused after Detach). Thread
+// indices are per registry, so threads of concurrently live registries
+// share them; per-thread observer state (lockdep's held stacks,
+// lockprof's attribution slots) is keyed by this number instead. A nil
+// thread has ProcIndex 0, which no attached thread has.
+func (t *Thread) ProcIndex() uint32 {
+	if t == nil {
+		return 0
+	}
+	return t.proc
+}
+
+// procIndices hands out ProcIndex numbers from 1, recycling released
+// ones LIFO.
+var procIndices struct {
+	mu   sync.Mutex
+	free []uint32
+	next uint32
+}
+
+func takeProcIndex() uint32 {
+	procIndices.mu.Lock()
+	defer procIndices.mu.Unlock()
+	if n := len(procIndices.free); n > 0 {
+		p := procIndices.free[n-1]
+		procIndices.free = procIndices.free[:n-1]
+		return p
+	}
+	procIndices.next++
+	return procIndices.next
+}
+
+func releaseProcIndex(p uint32) {
+	procIndices.mu.Lock()
+	procIndices.free = append(procIndices.free, p)
+	procIndices.mu.Unlock()
+}
 
 // Name returns the name given at Attach time.
 func (t *Thread) Name() string { return t.name }
@@ -200,6 +240,7 @@ func (r *Registry) Attach(name string) (*Thread, error) {
 	t := &Thread{
 		shifted:  uint32(idx) << IndexShift,
 		name:     name,
+		proc:     takeProcIndex(),
 		registry: r,
 	}
 	r.threads[idx] = t
@@ -226,6 +267,7 @@ func (r *Registry) Detach(t *Thread) {
 	r.threads[idx] = nil
 	r.free = append(r.free, idx)
 	r.attached--
+	releaseProcIndex(t.proc)
 }
 
 // Lookup returns the Thread with the given index, or nil if the index is
