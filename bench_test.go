@@ -18,9 +18,12 @@ package thinlock
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"thinlock/internal/arch"
 	"thinlock/internal/bench"
 	"thinlock/internal/core"
 	"thinlock/internal/jcl"
@@ -169,7 +172,10 @@ func BenchmarkMacro(b *testing.B) {
 
 // BenchmarkDirectLockUnlock measures the raw lock/unlock pair through the
 // Locker interface with no interpreter in the way — the closest Go
-// analogue of the paper's inline fast-path instruction count.
+// analogue of the paper's inline fast-path instruction count. The floor
+// rows time the bare hardware pair the lock word protocol costs at
+// least (an acquire CAS, then either release store), and sync.Mutex is
+// Go's own uncontended lock for comparison.
 func BenchmarkDirectLockUnlock(b *testing.B) {
 	impls := append(bench.StandardImpls(),
 		bench.Factory{Name: "ThinLock-Inline", New: func() lockapi.Locker {
@@ -198,6 +204,28 @@ func BenchmarkDirectLockUnlock(b *testing.B) {
 			}
 		})
 	}
+	floor := func(b *testing.B, name string, release func(*uint32, uint32)) {
+		b.Run(name, func(b *testing.B) {
+			var w uint32
+			for i := 0; i < b.N; i++ {
+				if !atomic.CompareAndSwapUint32(&w, 0, 1) {
+					b.Fatal("floor CAS failed on a free word")
+				}
+				release(&w, 0)
+			}
+		})
+	}
+	b.Run("floor", func(b *testing.B) {
+		floor(b, "CAS+StoreRelease", arch.StoreRelease)
+		floor(b, "CAS+atomic.Store", atomic.StoreUint32)
+	})
+	b.Run("sync.Mutex", func(b *testing.B) {
+		var mu sync.Mutex
+		for i := 0; i < b.N; i++ {
+			mu.Lock()
+			mu.Unlock()
+		}
+	})
 }
 
 // BenchmarkDirectNestedLock measures the nested fast path (plain store).

@@ -4,7 +4,7 @@
 // matches the diagnostics against `// want "regexp"` comments in the
 // sources. Only the standard library is used; imports inside testdata
 // resolve through the source importer, so testdata may import std
-// packages like sync and sync/atomic.
+// packages like sync and sync/atomic, and this module's packages.
 package analyzertest
 
 import (

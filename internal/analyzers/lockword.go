@@ -8,8 +8,9 @@ import (
 )
 
 // LockWord flags plain (non-atomic) reads and writes of variables and
-// fields that are accessed through sync/atomic anywhere else in the
-// package. A lock word read with a plain load can observe a torn or
+// fields that are accessed through sync/atomic, or through the release
+// stores arch.StoreRelease and arch.StoreRelease64, anywhere else in
+// the package. A lock word read with a plain load can observe a torn or
 // stale value; the thin-lock header is exactly such a word, and the
 // paper's protocol is only sound if every access goes through the
 // atomic helpers.
@@ -19,14 +20,24 @@ import (
 // sync/atomic call itself.
 var LockWord = &Analyzer{
 	Name:          "lockword",
-	Doc:           "flag plain accesses to fields elsewhere accessed via sync/atomic",
+	Doc:           "flag plain accesses to fields elsewhere accessed atomically",
 	SkipTestFiles: true,
 	Run:           runLockWord,
 }
 
-// atomicFuncs are the sync/atomic package functions whose first
-// argument is the address of the word being operated on.
-func isAtomicAddrFunc(name string) bool {
+// archPath is the import path of the package whose release stores
+// count as atomic accesses.
+const archPath = "thinlock/internal/arch"
+
+// isAtomicAddrFunc reports whether pkg.name is an atomic function whose
+// first argument is the address of the word being operated on.
+func isAtomicAddrFunc(pkg, name string) bool {
+	if pkg == archPath {
+		return name == "StoreRelease" || name == "StoreRelease64"
+	}
+	if pkg != "sync/atomic" {
+		return false
+	}
 	for _, prefix := range []string{"Load", "Store", "Add", "Swap", "CompareAndSwap", "And", "Or"} {
 		if strings.HasPrefix(name, prefix) {
 			return true
@@ -36,7 +47,7 @@ func isAtomicAddrFunc(name string) bool {
 }
 
 func runLockWord(pass *Pass) error {
-	// Pass 1: every object whose address is passed to a sync/atomic
+	// Pass 1: every object whose address is passed to an atomic
 	// function, with one representative position for the message.
 	atomicObjs := map[types.Object]token.Pos{}
 	for _, f := range pass.Files {
@@ -46,7 +57,7 @@ func runLockWord(pass *Pass) error {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !isAtomicAddrFunc(sel.Sel.Name) {
+			if !ok {
 				return true
 			}
 			pkgID, ok := sel.X.(*ast.Ident)
@@ -54,7 +65,7 @@ func runLockWord(pass *Pass) error {
 				return true
 			}
 			pn, ok := pass.TypesInfo.Uses[pkgID].(*types.PkgName)
-			if !ok || pn.Imported().Path() != "sync/atomic" {
+			if !ok || !isAtomicAddrFunc(pn.Imported().Path(), sel.Sel.Name) {
 				return true
 			}
 			addr, ok := call.Args[0].(*ast.UnaryExpr)
@@ -117,7 +128,7 @@ func runLockWord(pass *Pass) error {
 			}
 			if first, hot := atomicObjs[obj]; hot {
 				pass.Reportf(pos,
-					"plain access to %s, which is accessed via sync/atomic at %s; a plain load or store of a lock word can race",
+					"plain access to %s, which is accessed atomically at %s; a plain load or store of a lock word can race",
 					obj.Name(), pass.Fset.Position(first))
 			}
 			return true

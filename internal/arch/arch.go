@@ -19,8 +19,13 @@
 // fenced read-modify-write and atomic Load compiles to a plain move on
 // x86. Atomic Store does not: it is sequentially consistent, so on amd64
 // it compiles to XCHG, a locked read-modify-write as fenced as a CAS.
-// The paper's cost asymmetry holds between CAS and load, but not between
-// CAS and the unlock's release store.
+// StoreRelease and StoreRelease64 restore the paper's asymmetry: on
+// amd64 (without the race detector) they are one assembly MOV, a
+// release store under x86-TSO; elsewhere they fall back to atomic
+// Store. A release store does not order the storing thread's later
+// loads, so a Dekker-style handshake built on one needs the other side
+// to fence for both: ProcessBarrier does that with membarrier(2) where
+// the kernel offers it (AsymmetricFences).
 package arch
 
 import (

@@ -150,3 +150,24 @@ func BenchmarkPlainStore(b *testing.B) {
 		atomic.StoreUint32(&w, uint32(i))
 	}
 }
+
+// BenchmarkProcessBarrier is the fence a biased revocation pays on the
+// owner's behalf: one membarrier(2) call where AsymmetricFences is set,
+// a no-op elsewhere. A second goroutine spins so that at least one
+// other CPU runs a thread of the process and has to take the barrier.
+func BenchmarkProcessBarrier(b *testing.B) {
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+		}
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ProcessBarrier()
+	}
+	b.StopTimer()
+	stop.Store(true)
+	<-done
+}

@@ -8,11 +8,12 @@
 // carrying its thread index and a small class epoch, and records the
 // reservation in one of its per-thread bias slots
 // (threading.BiasSlot). From then on the owner's lock and unlock are a
-// slot lookup, one plain atomic store of the new recursion depth into
-// the slot, and one validating load of the header — no read-modify-
-// write atomics, and the owner never writes the shared lock word at
-// all. The depth store followed by the header load is the owner's half
-// of a Dekker-style handshake with revokers.
+// slot lookup, one store of the new recursion depth into the slot, and
+// one validating load of the header — no locked instruction where the
+// kernel offers a process-wide barrier (arch.AsymmetricFences), and the
+// owner never writes the shared lock word at all. The depth store
+// followed by the header load is the owner's half of a Dekker-style
+// handshake with revokers.
 //
 // Revocation. When another thread needs a reserved object it CASes the
 // biased word to a revocation sentinel (owner index 0), which makes it
@@ -22,16 +23,20 @@
 // linearization point — and rewrites the header to a conventional
 // word: thin owned-by-reserver at that depth, or unlocked when the
 // depth was 0. Finally it unparks the reserver (threading.Parker) in
-// case it is stalled mid-handshake. Because the revoker's CAS and
-// depth read bracket the owner's depth store and header load under Go's
-// sequentially consistent atomics, one side always observes the other:
-// either the revoker's depth read includes the owner's in-flight
+// case it is stalled mid-handshake. The handshake is asymmetric (Dice,
+// Huang & Yang's asymmetric Dekker synchronization): the owner's depth
+// store is a release store (arch.StoreRelease64, a plain MOV on amd64)
+// that its header load may pass, and the rare revoker fences for both
+// sides with arch.ProcessBarrier between its CAS and its depth read.
+// Either the revoker's depth read then includes the owner's in-flight
 // operation, or the owner's validating load sees the sentinel and
-// reconciles against whatever word the revoker published. A revoked
-// object can never be re-reserved (a sticky flags bit records the
-// revocation), so the fall-back is exactly the paper's protocol: thin
-// words with a CAS acquire, inflating to an internal/monitor fat lock
-// on contention, count overflow, or Wait.
+// reconciles against whatever word the revoker published. Without a
+// process-wide barrier the owner's store is sequentially consistent and
+// the same argument holds symmetrically. A revoked object can never be
+// re-reserved (a sticky flags bit records the revocation), so the
+// fall-back is exactly the paper's protocol: thin words with a CAS
+// acquire, inflating to an internal/monitor fat lock on contention,
+// count overflow, or Wait.
 //
 // Epochs. Each biased word carries a class epoch. When a class of
 // objects churns owners — revocation after revocation — the class's
@@ -279,51 +284,42 @@ func (l *Locker) classFor(class string) *classBias {
 }
 
 // Lock acquires o's monitor for t. The biased fast path: find the
-// reservation slot, publish the new depth with one plain store, and
-// validate that the reservation still stands. No compare-and-swap, no
-// fence beyond the store itself, and no write to shared memory at all.
+// reservation slot, publish the new depth with one store, and validate
+// that the reservation still stands. No compare-and-swap, no fence
+// where the revoker pays it (arch.AsymmetricFences), and no write to
+// shared memory at all.
 func (l *Locker) Lock(t *threading.Thread, o *object.Object) {
-	l.lockBody(t, o)
-	lockevent.Emit(lockevent.KindAcquire, t, o)
-}
-
-func (l *Locker) lockBody(t *threading.Thread, o *object.Object) {
+	held := false
 	if s := t.BiasSlotFor(o.ID()); s != nil {
 		if d := s.Depth(); d < maxBiasDepth {
 			s.SetDepth(d + 1) // Dekker publish
 			if atomic.LoadUint32(o.HeaderAddr()) == s.Word() || l.mut.SkipOwnerValidation {
 				lockevent.Count(t, lockevent.CtrBiasedAcquires)
-				return
+				held = true
+			} else {
+				// False when the reservation was revoked at depth 0 and
+				// not granted to us; acquire conventionally.
+				held = l.reconcileLock(t, o, s, d+1)
 			}
-			if l.reconcileLock(t, o, s, d+1) {
-				return
-			}
-			// The reservation was revoked at depth 0 and not granted to
-			// us; acquire conventionally.
 		}
 	}
-	l.lockSlow(t, o)
+	if !held {
+		l.lockSlow(t, o)
+	}
+	lockevent.Emit(lockevent.KindAcquire, t, o)
 }
 
 // Unlock releases one level of o's monitor. The biased fast path
-// mirrors Lock: one plain store of the decremented depth, one
-// validating load.
+// mirrors Lock: one store of the decremented depth, one validating
+// load.
 func (l *Locker) Unlock(t *threading.Thread, o *object.Object) error {
-	err := l.unlockBody(t, o)
-	if err == nil {
-		lockevent.Emit(lockevent.KindRelease, t, o)
-	}
-	return err
-}
-
-func (l *Locker) unlockBody(t *threading.Thread, o *object.Object) error {
 	if s := t.BiasSlotFor(o.ID()); s != nil {
 		if d := s.Depth(); d > 0 {
 			s.SetDepth(d - 1) // Dekker publish
-			if atomic.LoadUint32(o.HeaderAddr()) == s.Word() || l.mut.SkipOwnerValidation {
-				return nil
+			if atomic.LoadUint32(o.HeaderAddr()) != s.Word() && !l.mut.SkipOwnerValidation {
+				l.reconcileUnlock(t, o, s, d-1)
 			}
-			l.reconcileUnlock(t, o, s, d-1)
+			lockevent.Emit(lockevent.KindRelease, t, o)
 			return nil
 		}
 		if atomic.LoadUint32(o.HeaderAddr()) == s.Word() {
@@ -335,7 +331,11 @@ func (l *Locker) unlockBody(t *threading.Thread, o *object.Object) error {
 		// transferred or revoked while unheld).
 		s.Release()
 	}
-	return l.unlockSlow(t, o)
+	err := l.unlockSlow(t, o)
+	if err == nil {
+		lockevent.Emit(lockevent.KindRelease, t, o)
+	}
+	return err
 }
 
 // Wait implements lockapi.Locker. Waiting requires queues: a held

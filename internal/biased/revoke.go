@@ -3,6 +3,7 @@ package biased
 import (
 	"sync/atomic"
 
+	"thinlock/internal/arch"
 	"thinlock/internal/core"
 	"thinlock/internal/lockevent"
 	"thinlock/internal/monitor"
@@ -22,7 +23,12 @@ import (
 // slot; that single read is the revocation's linearization point — the
 // owner's Dekker discipline (publish depth, then validate the header)
 // guarantees any operation the read misses will reconcile against the
-// word we publish. Then rewrite the header: the owner's exact depth as
+// word we publish. The owner's depth store may be a release store that
+// its own header load passes, so the revoker issues
+// arch.ProcessBarrier between the CAS and the depth read: it fences
+// the owner's CPU on the revoker's behalf. Where the kernel offers no
+// such barrier the owner's store is sequentially consistent and the
+// call is a no-op. Then rewrite the header: the owner's exact depth as
 // a conventional thin word, or — when unheld — unlocked, or
 // transferred to us if the reservation's epoch was stale. Finally wake
 // the owner in case it is stalled mid-reconciliation.
@@ -31,6 +37,10 @@ func (l *Locker) revoke(t *threading.Thread, o *object.Object, w uint32) bool {
 	if !o.CASHeader(w, core.BiasRevokingWord(misc)) {
 		return false // lost the race to another revoker or state change
 	}
+	// Asymmetric Dekker: after this barrier the owner either had its
+	// depth store globally visible, or has yet to load the header and
+	// will see the sentinel.
+	arch.ProcessBarrier()
 
 	ownerIdx := core.BiasOwner(w)
 	var ownerT *threading.Thread

@@ -30,7 +30,9 @@ import (
 // classic Dekker argument applies: if the contender parked, the owner's
 // release either preceded the contender's re-read (contender would have
 // seen the lock free) or the owner's flag load follows the contender's
-// flag store (owner wakes the queue). No wakeup can be lost.
+// flag store (owner wakes the queue). No wakeup can be lost. That is
+// why the owner's release here stays atomic.StoreUint32 (XCHG on
+// amd64) instead of arch.StoreRelease, which its flag load could pass.
 //
 // The woken contenders race to acquire the thin lock; the winner inflates
 // it under the locality-of-contention principle, and the losers find the

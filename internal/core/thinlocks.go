@@ -160,9 +160,14 @@ func (s Stats) Inflations() uint64 {
 // a veneer over the heavy-weight monitor subsystem: uncontended and
 // nested locking never touch a monitor.
 type ThinLocks struct {
-	table     *monitor.Table
-	variant   Variant
-	cpu       arch.CPU
+	table   *monitor.Table
+	variant Variant
+	cpu     arch.CPU
+	// plain selects the one-frame fast path of Lock and Unlock: the
+	// Standard variant on a uniprocessor, or Inline, without queued
+	// inflation. Testing it is the §3.5.1 dynamic machine test, picked
+	// once at construction.
+	plain     bool
 	deflation bool
 	recycle   bool
 	queued    bool
@@ -191,10 +196,13 @@ func New(opts Options) *ThinLocks {
 		bits = 8
 	}
 	maxCount := uint32(1)<<bits - 1
+	uniprocessor := opts.Variant == VariantInline ||
+		opts.Variant == VariantStandard && opts.CPU == arch.PowerPCUP
 	tl := &ThinLocks{
 		table:       monitor.NewTable(),
 		variant:     opts.Variant,
 		cpu:         opts.CPU,
+		plain:       uniprocessor && !opts.QueuedInflation,
 		deflation:   opts.EnableDeflation || opts.RecycleMonitors,
 		recycle:     opts.RecycleMonitors,
 		queued:      opts.QueuedInflation,
@@ -242,13 +250,21 @@ func (l *ThinLocks) Stats() Stats {
 	}
 }
 
-// Lock acquires o's monitor for t (§2.3.1, §2.3.3, §2.3.4). The
-// acquire event is raised after the acquisition so lockdep's order
-// graph sees every lock exactly when it is held; with no sink wanting
-// it the check costs one load and a not-taken branch. The NOP variant
-// takes no lock and raises no event.
+// Lock acquires o's monitor for t (§2.3.1, §2.3.3, §2.3.4). On the
+// plain path the common case runs in this frame: load, and if no lock
+// bits are set, one compare-and-swap. Every other configuration takes
+// the variant dispatch. The acquire event is raised after the
+// acquisition so lockdep's order graph sees every lock exactly when it
+// is held; with no sink wanting it the check costs one load and a
+// not-taken branch. The NOP variant takes no lock and raises no event.
 func (l *ThinLocks) Lock(t *threading.Thread, o *object.Object) {
-	l.lockDispatch(t, o)
+	if l.plain {
+		if !acquirePlain(o.HeaderAddr(), t.Shifted()) {
+			l.lockSlow(t, o, arch.PowerPCUP, false)
+		}
+	} else {
+		l.lockDispatch(t, o)
+	}
 	if lockevent.Wants(lockevent.KindAcquire) && l.variant != VariantNOP {
 		lockevent.Emit(lockevent.KindAcquire, t, o)
 	}
@@ -280,15 +296,22 @@ func (l *ThinLocks) lockDispatch(t *threading.Thread, o *object.Object) {
 	}
 }
 
-// lockInline is the leanest fast path: load, mask, compare-and-swap.
-// This is the paper's 17-instruction common case.
+// lockInline is the leanest fast path: load, test, compare-and-swap.
+// This is the paper's 17-instruction common case. A word with any lock
+// bits set (nested, inflated or owned elsewhere) would fail the CAS, so
+// it goes straight to the slow path without issuing one.
 func (l *ThinLocks) lockInline(t *threading.Thread, o *object.Object) {
-	hp := o.HeaderAddr()
-	old := atomic.LoadUint32(hp) & MiscMask
-	if atomic.CompareAndSwapUint32(hp, old, old|t.Shifted()) {
-		return
+	if !acquirePlain(o.HeaderAddr(), t.Shifted()) {
+		l.lockSlow(t, o, arch.PowerPCUP, false)
 	}
-	l.lockSlow(t, o, arch.PowerPCUP, false)
+}
+
+// acquirePlain takes the unlocked thin word at hp for the thread whose
+// shifted index is owner, with one compare-and-swap, and reports
+// whether it did. Lock inlines it on the plain path.
+func acquirePlain(hp *uint32, owner uint32) bool {
+	w := atomic.LoadUint32(hp)
+	return w&^MiscMask == 0 && atomic.CompareAndSwapUint32(hp, w, w|owner)
 }
 
 // lockFn is the out-of-line lock routine of the FnCall variant.
@@ -298,11 +321,11 @@ func lockFn(l *ThinLocks, t *threading.Thread, o *object.Object) {
 	l.lockInline(t, o)
 }
 
-// lockFast is the machine-parameterized fast path.
+// lockFast is the machine-parameterized fast path. Like lockInline it
+// issues no CAS that must fail.
 func (l *ThinLocks) lockFast(t *threading.Thread, o *object.Object, cpu arch.CPU, fence bool) {
 	hp := o.HeaderAddr()
-	old := atomic.LoadUint32(hp) & MiscMask
-	if arch.CAS(cpu, hp, old, old|t.Shifted()) {
+	if w := atomic.LoadUint32(hp); w&^MiscMask == 0 && arch.CAS(cpu, hp, w, w|t.Shifted()) {
 		if fence {
 			arch.ISync()
 		}
@@ -334,7 +357,7 @@ func (l *ThinLocks) lockSlowBody(t *threading.Thread, o *object.Object, cpu arch
 		case x < l.nestedLimit:
 			// Thin, owned by this thread, count < 255: nested lock.
 			// The owner may update the word with a plain store.
-			atomic.StoreUint32(hp, w+CountUnit)
+			arch.StoreRelease(hp, w+CountUnit)
 			return
 
 		case IsInflated(w):
@@ -483,9 +506,18 @@ func (l *ThinLocks) inflate(t *threading.Thread, o *object.Object, locks uint32)
 	return m
 }
 
-// Unlock releases one level of o's monitor (§2.3.2).
+// Unlock releases one level of o's monitor (§2.3.2). On the plain
+// path the common case runs in this frame: a load, a compare, and a
+// release store, which is one MOV on amd64 (arch.StoreRelease).
 func (l *ThinLocks) Unlock(t *threading.Thread, o *object.Object) error {
-	err := l.unlockDispatch(t, o)
+	var err error
+	if l.plain {
+		if !releasePlain(o.HeaderAddr(), t.Shifted()) {
+			err = l.unlockSlow(t, o, false, false)
+		}
+	} else {
+		err = l.unlockDispatch(t, o)
+	}
 	if err == nil && lockevent.Wants(lockevent.KindRelease) && l.variant != VariantNOP {
 		lockevent.Emit(lockevent.KindRelease, t, o)
 	}
@@ -496,23 +528,25 @@ func (l *ThinLocks) unlockDispatch(t *threading.Thread, o *object.Object) error 
 	switch l.variant {
 	case VariantStandard:
 		switch l.cpu {
-		case arch.PowerPCMP:
-			return l.unlockStore(t, o, true)
+		case arch.PowerPCMP, arch.POWER:
+			return l.unlockStore(t, o, l.cpu)
 		default:
-			return l.unlockStore(t, o, false)
+			return l.unlockStore(t, o, arch.PowerPCUP)
 		}
-	case VariantInline, VariantKernelCAS:
-		return l.unlockStore(t, o, false)
+	case VariantInline:
+		return l.unlockStore(t, o, arch.PowerPCUP)
+	case VariantKernelCAS:
+		return l.unlockStore(t, o, arch.POWER)
 	case VariantFnCall:
 		return unlockFn(l, t, o)
 	case VariantMPSync:
-		return l.unlockStore(t, o, true)
+		return l.unlockStore(t, o, arch.PowerPCMP)
 	case VariantUnlockCAS:
 		return l.unlockCAS(t, o)
 	case VariantNOP:
 		return nil
 	default:
-		return l.unlockStore(t, o, false)
+		return l.unlockStore(t, o, arch.PowerPCUP)
 	}
 }
 
@@ -521,9 +555,16 @@ func (l *ThinLocks) unlockDispatch(t *threading.Thread, o *object.Object) error 
 // stable property — if this thread owns the lock the loaded value cannot
 // be stale, and if it does not, any stale value still shows that it does
 // not (§2.3.2).
-func (l *ThinLocks) unlockStore(t *threading.Thread, o *object.Object, fence bool) error {
+func (l *ThinLocks) unlockStore(t *threading.Thread, o *object.Object, cpu arch.CPU) error {
 	hp := o.HeaderAddr()
+	if cpu == arch.PowerPCUP && !l.queued {
+		if releasePlain(hp, t.Shifted()) {
+			return nil
+		}
+		return l.unlockSlow(t, o, false, false)
+	}
 	w := atomic.LoadUint32(hp)
+	fence := cpu == arch.PowerPCMP
 	if w^t.Shifted() < CountUnit {
 		// Thin, owned by this thread, count 0: the common case.
 		// On a multiprocessor the sync barrier makes the critical
@@ -531,6 +572,14 @@ func (l *ThinLocks) unlockStore(t *threading.Thread, o *object.Object, fence boo
 		if fence {
 			arch.Sync()
 		}
+		// The sequentially consistent store (XCHG on amd64) stays
+		// where a later load by this thread must not pass it. The
+		// queued extension loads the FLC bit right after the release,
+		// the owner's half of a Dekker pair with the contender's flag
+		// store and header re-read (queued.go). The MP Sync and
+		// KernelC&S machines model the paper's fully fenced release
+		// (PowerPC sync; the POWER kernel service), so their Figure 6
+		// bars keep the fence's cost.
 		atomic.StoreUint32(hp, w^t.Shifted())
 		if l.queued {
 			l.wakeAfterUnlock(o)
@@ -538,6 +587,19 @@ func (l *ThinLocks) unlockStore(t *threading.Thread, o *object.Object, fence boo
 		return nil
 	}
 	return l.unlockSlow(t, o, fence, false)
+}
+
+// releasePlain is the uniprocessor final release: if the thread whose
+// shifted index is owner holds the thin word at hp once, clear the
+// owner with a release store (one MOV on amd64) and report true.
+// Anything else is left for unlockSlow. Unlock and unlockStore inline
+// it (inlining cost 78 of the compiler's 80), so keep it this small.
+func releasePlain(hp *uint32, owner uint32) bool {
+	if w := atomic.LoadUint32(hp) ^ owner; w < CountUnit {
+		arch.StoreRelease(hp, w)
+		return true
+	}
+	return false
 }
 
 // unlockCAS is the UnlkC&S variant: the release uses a compare-and-swap,
@@ -563,35 +625,24 @@ func (l *ThinLocks) unlockCAS(t *threading.Thread, o *object.Object) error {
 //
 //go:noinline
 func unlockFn(l *ThinLocks, t *threading.Thread, o *object.Object) error {
-	return l.unlockStore(t, o, false)
+	return l.unlockStore(t, o, arch.PowerPCUP)
 }
 
-// unlockSlow handles nested thin unlocks, fat unlocks, and errors.
+// unlockSlow handles nested thin unlocks, fat unlocks, and errors. A
+// final thin release never gets here: every caller's fast path takes
+// it, and an owned thin word cannot change under its owner.
 func (l *ThinLocks) unlockSlow(t *threading.Thread, o *object.Object, fence, useCAS bool) error {
 	lockevent.Emit(lockevent.KindUnlockSlow, t, o)
 	hp := o.HeaderAddr()
 	w := atomic.LoadUint32(hp)
-	x := w ^ t.Shifted()
-	if x>>IndexShift == 0 {
-		// Thin and owned by this thread.
-		var nw uint32
-		if x < CountUnit {
-			nw = w ^ t.Shifted() // final release: clear the thread index
-			if fence {
-				arch.Sync()
-			}
-		} else {
-			nw = w - CountUnit // nested release: decrement the count
-		}
+	if (w^t.Shifted())>>IndexShift == 0 {
+		// Thin, owned by this thread, count ≥ 1: nested release.
 		if useCAS {
-			if !atomic.CompareAndSwapUint32(hp, w, nw) {
+			if !atomic.CompareAndSwapUint32(hp, w, w-CountUnit) {
 				panic("core: unlock CAS failed while owning the lock")
 			}
 		} else {
-			atomic.StoreUint32(hp, nw)
-		}
-		if l.queued && x < CountUnit {
-			l.wakeAfterUnlock(o)
+			arch.StoreRelease(hp, w-CountUnit)
 		}
 		return nil
 	}
@@ -612,6 +663,8 @@ func (l *ThinLocks) unlockSlow(t *threading.Thread, o *object.Object, fence, use
 			if fence {
 				arch.Sync()
 			}
+			// Sequentially consistent: the grace stamp Free takes
+			// below must not be ordered before this restore.
 			atomic.StoreUint32(hp, w&MiscMask)
 			if l.recycle {
 				// Recycle the index only after the header restore: the

@@ -142,3 +142,36 @@ func TestWaitOnVariantLocks(t *testing.T) {
 		})
 	}
 }
+
+// TestPlainPathSelection pins which configurations run the one-frame
+// fast path in Lock and Unlock. Queued inflation must never take it:
+// its unlock loads the FLC bit after the release, which needs the
+// sequentially consistent store the plain path replaces.
+func TestPlainPathSelection(t *testing.T) {
+	t.Parallel()
+	tests := []struct {
+		opts Options
+		want bool
+	}{
+		{Options{}, true},
+		{Options{Variant: VariantInline}, true},
+		{Options{Variant: VariantInline, CPU: arch.POWER}, true},
+		{Options{EnableDeflation: true}, true},
+		{Options{RecycleMonitors: true}, true},
+		{Options{CountBits: 2}, true},
+		{Options{QueuedInflation: true}, false},
+		{Options{Variant: VariantInline, QueuedInflation: true}, false},
+		{Options{CPU: arch.PowerPCMP}, false},
+		{Options{CPU: arch.POWER}, false},
+		{Options{Variant: VariantFnCall}, false},
+		{Options{Variant: VariantMPSync}, false},
+		{Options{Variant: VariantKernelCAS}, false},
+		{Options{Variant: VariantUnlockCAS}, false},
+		{Options{Variant: VariantNOP}, false},
+	}
+	for _, tt := range tests {
+		if got := New(tt.opts).plain; got != tt.want {
+			t.Errorf("New(%+v).plain = %v, want %v", tt.opts, got, tt.want)
+		}
+	}
+}

@@ -8,14 +8,25 @@
 // depth. The owning goroutine is the only writer of a slot; a revoking
 // thread reads it (after winning the revocation sentinel CAS on the
 // object header) to learn the depth at which the bias must be walked to
-// a conventional thin or fat lock. The depth store is a full atomic
-// store so the owner's store→load sequence and the revoker's
-// store(CAS)→load sequence form a Dekker-style handshake: at least one
-// side observes the other.
+// a conventional thin or fat lock.
+//
+// The owner's depth store followed by its header load, against the
+// revoker's sentinel CAS followed by its depth read, is a Dekker-style
+// handshake: at least one side must observe the other. A plain release
+// store does not keep the owner's later load from passing it, so one
+// side needs a full fence. When arch.AsymmetricFences is set the depth
+// store is arch.StoreRelease64 (a plain MOV) and the revoker pays the
+// fence for both sides with arch.ProcessBarrier between its CAS and its
+// depth read; otherwise the depth store is a sequentially consistent
+// atomic store and the owner pays it.
 
 package threading
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"thinlock/internal/arch"
+)
 
 // BiasSlots is the number of objects one thread can have reserved at a
 // time. When the table is full further objects simply aren't biased
@@ -26,9 +37,13 @@ const BiasSlots = 8
 // BiasSlot is one reservation held by a thread. Only the owning
 // goroutine writes it; revokers read it through the atomics.
 type BiasSlot struct {
+	// depth is the current recursion depth (locks held), accessed only
+	// through atomic loads, StoreRelease64 and atomic stores. It comes
+	// first so the 8-byte alignment id gives the struct keeps it
+	// aligned for 64-bit atomics on 32-bit platforms.
+	depth uint64
 	id    atomic.Uint64 // object allocation id; 0 = slot free
 	word  atomic.Uint32 // biased header word this thread installed
-	depth atomic.Uint64 // current recursion depth (locks held)
 }
 
 // ObjectID returns the id of the reserved object (0 for a free slot).
@@ -42,17 +57,25 @@ func (s *BiasSlot) Word() uint32 { return s.word.Load() }
 func (s *BiasSlot) SetWord(w uint32) { s.word.Store(w) }
 
 // Depth returns the recursion depth published in the slot.
-func (s *BiasSlot) Depth() uint64 { return s.depth.Load() }
+func (s *BiasSlot) Depth() uint64 { return atomic.LoadUint64(&s.depth) }
 
-// SetDepth publishes a new recursion depth. Owner only. The atomic
-// store is the owner's half of the revocation handshake.
-func (s *BiasSlot) SetDepth(d uint64) { s.depth.Store(d) }
+// SetDepth publishes a new recursion depth. Owner only. The store is
+// the owner's half of the revocation handshake: a release store when
+// the revoker fences for both sides (arch.AsymmetricFences), else a
+// sequentially consistent one.
+func (s *BiasSlot) SetDepth(d uint64) {
+	if arch.AsymmetricFences {
+		arch.StoreRelease64(&s.depth, d)
+		return
+	}
+	atomic.StoreUint64(&s.depth, d)
+}
 
 // Release frees the slot. Owner only. The depth and word are cleared
 // before the id so a concurrent scanner never pairs a recycled id with
 // stale state.
 func (s *BiasSlot) Release() {
-	s.depth.Store(0)
+	atomic.StoreUint64(&s.depth, 0)
 	s.word.Store(0)
 	s.id.Store(0)
 }
