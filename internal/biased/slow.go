@@ -36,7 +36,7 @@ func (l *Locker) lockSlowBody(t *threading.Thread, o *object.Object) {
 		case x < thinNestedLimit:
 			// Thin, owned by this thread, count < 127: nested lock via
 			// the owner's plain store, exactly as in core.
-			atomic.StoreUint32(hp, w+core.CountUnit)
+			arch.StoreRelease(hp, w+core.CountUnit)
 			return
 
 		case core.IsInflated(w):
@@ -148,7 +148,9 @@ func (l *Locker) inflate(t *threading.Thread, o *object.Object, locks uint32) *m
 
 // unlockSlow releases one level through the header: nested and final
 // thin unlocks (plain stores, the paper's discipline), fat exits, and
-// errors. A revocation sentinel is waited out and the walked word
+// errors. Only the owner writes a thin word it holds, and no load of
+// its own pairs with these stores in a Dekker handshake (the revoker
+// races biased words only), so a release store suffices, as in core. A revocation sentinel is waited out and the walked word
 // reclassified.
 func (l *Locker) unlockSlow(t *threading.Thread, o *object.Object) error {
 	lockevent.Emit(lockevent.KindUnlockSlow, t, o)
@@ -160,11 +162,11 @@ func (l *Locker) unlockSlow(t *threading.Thread, o *object.Object) error {
 		switch {
 		case x < core.CountUnit:
 			// Thin, owned by this thread, count 0: final release.
-			atomic.StoreUint32(hp, w^shifted)
+			arch.StoreRelease(hp, w^shifted)
 			return nil
 		case x < core.BiasBit:
 			// Thin, owned by this thread, count ≥ 1: nested release.
-			atomic.StoreUint32(hp, w-core.CountUnit)
+			arch.StoreRelease(hp, w-core.CountUnit)
 			return nil
 		case core.IsInflated(w):
 			return l.table.Get(core.FatIndex(w)).Exit(t)

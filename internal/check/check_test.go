@@ -78,17 +78,17 @@ func TestExpected(t *testing.T) {
 		Objects: 2,
 		Threads: [][]Op{
 			{
-				{OpUnlock, 0},     // illegal: nothing held
-				{OpLock, 0},       // ok
-				{OpLock, 0},       // ok (nested)
-				{OpWait, 1},       // illegal: obj 1 not held
-				{OpWait, 0},       // ok
-				{OpNotify, 0},     // ok
-				{OpNotifyAll, 1},  // illegal
-				{OpUnlock, 0},     // ok
-				{OpUnlock, 0},     // ok (final)
-				{OpNotify, 0},     // illegal: released
-				{Kind: OpWork},    // ok
+				{OpUnlock, 0},    // illegal: nothing held
+				{OpLock, 0},      // ok
+				{OpLock, 0},      // ok (nested)
+				{OpWait, 1},      // illegal: obj 1 not held
+				{OpWait, 0},      // ok
+				{OpNotify, 0},    // ok
+				{OpNotifyAll, 1}, // illegal
+				{OpUnlock, 0},    // ok
+				{OpUnlock, 0},    // ok (final)
+				{OpNotify, 0},    // illegal: released
+				{Kind: OpWork},   // ok
 			},
 		},
 	}
@@ -169,6 +169,44 @@ func TestMinimizeShrinksToEssentialOp(t *testing.T) {
 	min := Minimize(p, hasEssential)
 	if min.NumOps() != 1 || !hasEssential(min) {
 		t.Fatalf("Minimize left %d ops (want 1 essential op):\n%s", min.NumOps(), min)
+	}
+}
+
+// TestMinimizeSurvivesThreadsDroppedByChunkPass drives the chunk pass
+// into dropping two whole threads: the predicate rejects every
+// whole-thread candidate of pass 1 (its first three calls), then fails
+// whenever the essential op survives. The chunk pass then empties and
+// drops threads 0 and 1 while working on index 0, and must not index
+// past the shrunk thread slice afterwards.
+func TestMinimizeSurvivesThreadsDroppedByChunkPass(t *testing.T) {
+	t.Parallel()
+	p := Program{
+		Objects: 2,
+		Threads: [][]Op{
+			{{OpLock, 0}, {OpUnlock, 0}},
+			{{OpLock, 0}, {OpUnlock, 0}},
+			{{OpLock, 1}, {OpUnlock, 1}},
+		},
+	}
+	calls := 0
+	pred := func(q Program) bool {
+		calls++
+		if calls <= len(p.Threads) {
+			return false
+		}
+		for _, ops := range q.Threads {
+			for _, op := range ops {
+				if op.Kind == OpUnlock && op.Obj == 1 {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	min := Minimize(p, pred)
+	if len(min.Threads) != 1 || min.NumOps() != 1 {
+		t.Fatalf("Minimize left %d threads, %d ops (want 1 thread, 1 op):\n%s",
+			len(min.Threads), min.NumOps(), min)
 	}
 }
 

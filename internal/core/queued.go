@@ -42,61 +42,32 @@ import (
 // FlagFLC is the flat-lock-contention bit in the object's flags word.
 const FlagFLC uint32 = 1 << 0
 
-// flcQueue is the parking list for contenders on one thin-locked object.
+// flcQueue parks contenders for thin-locked objects. One queue serves
+// every object of a ThinLocks: each entry names the object its thread
+// waits for, and a wake releases exactly that object's entries. Entries
+// exist only while a thin lock is contended, so the list stays short,
+// and a parked contender blocks on its own threading.WaitRecord, so
+// parking allocates nothing once the list has grown.
 type flcQueue struct {
 	mu      sync.Mutex
-	waiters []chan struct{}
+	waiters []flcWaiter
 }
 
-// flcTable maps object ids to contention queues. Entries exist only
-// while a thin lock is contended; inflation makes them garbage.
-type flcTable struct {
-	mu     sync.Mutex
-	queues map[uint64]*flcQueue
+type flcWaiter struct {
+	t  *threading.Thread
+	id uint64 // object the thread waits for
 }
 
-func newFLCTable() *flcTable {
-	return &flcTable{queues: make(map[uint64]*flcQueue)}
-}
-
-// get returns (creating if needed) the queue for object id.
-func (ft *flcTable) get(id uint64) *flcQueue {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	q := ft.queues[id]
-	if q == nil {
-		q = &flcQueue{}
-		ft.queues[id] = q
-	}
-	return q
-}
-
-// drop removes the queue for id if it has no waiters.
-func (ft *flcTable) drop(id uint64) {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	if q := ft.queues[id]; q != nil {
-		q.mu.Lock()
-		empty := len(q.waiters) == 0
-		q.mu.Unlock()
-		if empty {
-			delete(ft.queues, id)
-		}
-	}
-}
-
-// queueLen reports the number of queues currently allocated (tests).
-func (ft *flcTable) queueLen() int {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	return len(ft.queues)
+// queueLen reports the number of parked contenders (tests).
+func (q *flcQueue) queueLen() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.waiters)
 }
 
 // queueWait blocks t until o's thin lock is released (or briefly, on any
 // wake). Returns immediately if the lock is observed free or inflated.
 func (l *ThinLocks) queueWait(t *threading.Thread, o *object.Object) {
-	q := l.flc.get(o.ID())
-
 	// Publish contention before re-checking the lock word (store→load
 	// ordering is what makes the handshake safe).
 	o.SetFlagBits(FlagFLC)
@@ -107,7 +78,8 @@ func (l *ThinLocks) queueWait(t *threading.Thread, o *object.Object) {
 		return
 	}
 
-	ch := make(chan struct{})
+	q := &l.flc
+	r := t.WaitRecord()
 	q.mu.Lock()
 	// Re-check under the queue lock so a concurrent wake cannot slip
 	// between the check and the append.
@@ -116,30 +88,63 @@ func (l *ThinLocks) queueWait(t *threading.Thread, o *object.Object) {
 		q.mu.Unlock()
 		return
 	}
-	q.waiters = append(q.waiters, ch)
+	r.State = threading.Entering
+	q.waiters = append(q.waiters, flcWaiter{t: t, id: o.ID()})
 	q.mu.Unlock()
 
 	l.queuedParks.Add(1)
 	start := lockevent.Stamp(lockevent.KindPark)
-	<-ch
+	q.parkWhileQueued(r)
 	lockevent.Park(t, o, lockevent.WaitQueued, start)
+}
+
+// parkWhileQueued parks the thread owning r until a wake takes it off
+// the queue. A wake sets the state before it unparks, so parking before
+// the first check loses nothing; any other permit finds r still queued
+// and the thread parks again.
+//
+//lockvet:noalloc
+func (q *flcQueue) parkWhileQueued(r *threading.WaitRecord) {
+	for {
+		r.Park()
+		q.mu.Lock()
+		queued := r.State == threading.Entering
+		q.mu.Unlock()
+		if !queued {
+			return
+		}
+	}
+}
+
+// wake releases every contender parked on the object with the given id,
+// compacting the rest in place and clearing the vacated slots.
+//
+//lockvet:noalloc
+func (q *flcQueue) wake(id uint64) {
+	q.mu.Lock()
+	n := 0
+	for _, w := range q.waiters {
+		if w.id != id {
+			q.waiters[n] = w
+			n++
+			continue
+		}
+		r := w.t.WaitRecord()
+		r.State = threading.NotQueued
+		r.Unpark()
+	}
+	clear(q.waiters[n:])
+	q.waiters = q.waiters[:n]
+	q.mu.Unlock()
 }
 
 // wakeQueued clears the flc bit and releases every parked contender.
 // Called by the releasing owner after its unlock store.
 func (l *ThinLocks) wakeQueued(o *object.Object) {
 	o.ClearFlagBits(FlagFLC)
-	q := l.flc.get(o.ID())
-	q.mu.Lock()
-	waiters := q.waiters
-	q.waiters = nil
-	q.mu.Unlock()
-	for _, ch := range waiters {
-		close(ch)
-	}
+	l.flc.wake(o.ID())
 	l.flcWakeups.Add(1)
 	lockevent.Count(nil, lockevent.CtrFLCWakeups)
-	l.flc.drop(o.ID())
 }
 
 // maybeWakeQueued is the owner's post-release hook: one atomic load in

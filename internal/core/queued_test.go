@@ -1,11 +1,13 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"thinlock/internal/object"
+	"thinlock/internal/threading"
 )
 
 func TestQueuedContentionParksAndInflates(t *testing.T) {
@@ -190,7 +192,7 @@ func TestQueuedFlagClearedAfterWake(t *testing.T) {
 		t.Error("flc bit left set after contention resolved")
 	}
 	if n := f.l.flc.queueLen(); n != 0 {
-		t.Errorf("%d contention queues leaked", n)
+		t.Errorf("%d parked contenders leaked", n)
 	}
 }
 
@@ -210,7 +212,7 @@ func TestQueuedNoOverheadWithoutContention(t *testing.T) {
 		t.Errorf("uncontended run touched queues: %+v", s)
 	}
 	if f.l.flc.queueLen() != 0 {
-		t.Error("queues allocated without contention")
+		t.Error("contenders queued without contention")
 	}
 }
 
@@ -243,19 +245,74 @@ func TestQueuedWithDeflationCycles(t *testing.T) {
 	}
 }
 
-func TestFLCTableDropKeepsNonEmptyQueues(t *testing.T) {
+func TestFLCWakeReleasesOnlyItsObject(t *testing.T) {
 	t.Parallel()
-	ft := newFLCTable()
-	q := ft.get(7)
-	q.waiters = append(q.waiters, make(chan struct{}))
-	ft.drop(7)
-	if ft.queueLen() != 1 {
-		t.Error("drop removed a queue with waiters")
+	f := newFixture(t, Options{QueuedInflation: true})
+	a, b := f.thread(t), f.thread(t)
+	q := &f.l.flc
+	for _, w := range []flcWaiter{{t: a, id: 7}, {t: b, id: 9}} {
+		w.t.WaitRecord().State = threading.Entering
+		q.waiters = append(q.waiters, w)
 	}
-	q.waiters = nil
-	ft.drop(7)
-	if ft.queueLen() != 0 {
-		t.Error("drop kept an empty queue")
+	q.wake(7)
+	if got := a.WaitRecord().State; got != threading.NotQueued {
+		t.Errorf("woken waiter state = %v, want NotQueued", got)
 	}
-	ft.drop(99) // absent id: no-op
+	if !a.Parker().ParkTimeout(0) {
+		t.Error("woken waiter not unparked")
+	}
+	if got := b.WaitRecord().State; got != threading.Entering || q.queueLen() != 1 {
+		t.Errorf("other object's waiter: state %v, queue length %d; want Entering, 1", got, q.queueLen())
+	}
+	if b.Parker().ParkTimeout(0) {
+		t.Error("other object's waiter unparked")
+	}
+	if q.waiters[:2][1].t != nil {
+		t.Error("vacated slot still pins its thread")
+	}
+	q.wake(99) // absent id: no-op
+	q.wake(9)
+	if q.queueLen() != 0 {
+		t.Error("queue not empty after waking every object")
+	}
+}
+
+// TestQueuedParkDoesNotAllocate: a contender parked on the contention
+// queue blocks on its own wait record, so a park/wake round allocates
+// nothing once the queue has grown. Not parallel: AllocsPerRun reads
+// process-wide allocation counters.
+func TestQueuedParkDoesNotAllocate(t *testing.T) {
+	f := newFixture(t, Options{QueuedInflation: true})
+	a, b := f.thread(t), f.thread(t)
+	o := f.heap.New("X")
+	start, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		for range start {
+			f.l.queueWait(b, o)
+			done <- struct{}{}
+		}
+	}()
+	defer close(start)
+	round := func() {
+		f.l.Lock(a, o)
+		start <- struct{}{}
+		for f.l.flc.queueLen() == 0 {
+			runtime.Gosched()
+		}
+		if err := f.l.Unlock(a, o); err != nil {
+			t.Error(err)
+		}
+		<-done
+	}
+	round() // grows the queue once
+	before := f.l.Stats().QueuedParks
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Errorf("queued park/wake round allocates %.2f objects", avg)
+	}
+	if f.l.Stats().QueuedParks == before {
+		t.Error("no round parked: the measurement is vacuous")
+	}
+	if IsInflated(o.Header()) {
+		t.Error("rounds inflated the object; they must exercise the thin-lock queue")
+	}
 }

@@ -171,7 +171,7 @@ type ThinLocks struct {
 	deflation bool
 	recycle   bool
 	queued    bool
-	flc       *flcTable
+	flc       flcQueue
 	mut       Mutations
 	// nestedLimit is the XOR-check bound: maxCount << CountShift.
 	nestedLimit uint32
@@ -209,9 +209,6 @@ func New(opts Options) *ThinLocks {
 		mut:         opts.TestMutations,
 		nestedLimit: maxCount << CountShift,
 		maxCount:    maxCount,
-	}
-	if tl.queued {
-		tl.flc = newFLCTable()
 	}
 	return tl
 }

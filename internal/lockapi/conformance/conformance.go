@@ -70,6 +70,11 @@ func Run(t *testing.T, mk func() lockapi.Locker) {
 		{"WaitAfterRepeatOwnership", testWaitAfterRepeatOwnership},
 		{"InterruptDuringOwnershipTransfer", testInterruptDuringOwnershipTransfer},
 		{"ContendedDeepNesting", testContendedDeepNesting},
+		{"StalePermitNeverGrantsEntry", testStalePermitNeverGrantsEntry},
+		{"StalePermitNeverNotifies", testStalePermitNeverNotifies},
+		{"InterruptDuringEntry", testInterruptDuringEntry},
+		{"InterruptRacingNotify", testInterruptRacingNotify},
+		{"TimedWaitNoStaleTick", testTimedWaitNoStaleTick},
 		{"DeflateEnterRace", testDeflateEnterRace},
 		{"DeflateVsWaiterPinsMonitor", testDeflateVsWait},
 		{"ReinflateAfterDeflate", testReinflateAfterDeflate},

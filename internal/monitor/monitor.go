@@ -10,7 +10,17 @@
 // count, and the necessary queues." (§2.1). This package is that system:
 // a Monitor holds an owner thread pointer, the lock count (the number of
 // locks, not the number minus one as in a thin lock — Figure 2), a FIFO
-// entry queue and a wait set. Blocked threads park on per-node channels.
+// entry queue and a wait set.
+//
+// The queues hold threads, and a blocked thread parks on its own
+// threading.WaitRecord: the lock count to restore, its queue state and
+// its Parker. A thread blocks in at most one place at a time, so that
+// one record serves the entry queue, the wait set and a timed wait's
+// timer, and blocking allocates nothing. Every park sits in a loop that
+// re-checks the record's state under the latch, so a permit that does
+// not come from this monitor (an interrupt, a biased revoker's wake, an
+// unpark that arrived late) never grants ownership or reports a
+// notification.
 //
 // Monitor entry uses direct handoff: when the owner exits, ownership is
 // transferred to the head of the entry queue before that thread resumes,
@@ -34,33 +44,6 @@ import (
 // IllegalMonitorStateException.
 var ErrIllegalMonitorState = errors.New("monitor: thread does not own monitor")
 
-// nodeState tracks where a blocked thread's node currently lives.
-// All transitions happen under the monitor latch.
-type nodeState int
-
-const (
-	stateEntryQueue nodeState = iota // blocked entering; in entry queue
-	stateWaitSet                     // blocked in wait; in wait set
-	stateGranted                     // ownership handed to this node
-)
-
-// node represents one blocked thread, used for both the entry queue and
-// the wait set (notify moves a node from the wait set to the entry
-// queue without reallocating).
-type node struct {
-	t       *threading.Thread
-	granted chan struct{} // receives the ownership handoff; buffered 1
-	intr    chan struct{} // closed on interrupt (wait nodes only)
-	intrOne sync.Once
-	reentry uint32 // lock count to restore when granted
-	state   nodeState
-}
-
-// WakeForInterrupt implements threading.Interruptible.
-func (n *node) WakeForInterrupt() {
-	n.intrOne.Do(func() { close(n.intr) })
-}
-
 // Monitor is a heavy-weight recursive lock with condition-variable
 // semantics. The zero value is unusable; create monitors with New or
 // Table.Allocate.
@@ -68,10 +51,10 @@ type Monitor struct {
 	latch   sync.Mutex
 	owner   *threading.Thread
 	count   uint32
-	entry   []*node // FIFO entry queue
-	waits   []*node // wait set, notified in FIFO order
-	index   uint32  // index in the owning Table (0 if table-less)
-	retired bool    // set by Retire; the monitor no longer guards its object
+	entry   []*threading.Thread // FIFO entry queue
+	waits   []*threading.Thread // wait set, notified in FIFO order
+	index   uint32              // index in the owning Table (0 if table-less)
+	retired bool                // set by Retire; the monitor no longer guards its object
 
 	// recycledIdx records that the Table served this monitor's index
 	// from a free list rather than extending the index space. Set once
@@ -146,7 +129,7 @@ func (m *Monitor) Retire(t *threading.Thread) bool {
 }
 
 // RetireDroppingQueue is Retire with the entry-queue emptiness check
-// removed: a queued contender's node is abandoned, its handoff never
+// removed: a queued contender is abandoned, its handoff never
 // arrives, and the thread sleeps forever. It exists only as the seeded
 // deflate-queue mutation (see core.Mutations), so the differential
 // checker can prove it detects a deflation that strands contenders.
@@ -195,16 +178,37 @@ func (m *Monitor) enterWithCount(t *threading.Thread, c uint32) bool {
 		m.latch.Unlock()
 		return true
 	}
-	n := &node{t: t, granted: make(chan struct{}, 1), reentry: c, state: stateEntryQueue}
-	m.entry = append(m.entry, n)
+	r := t.WaitRecord()
+	r.Count = c
+	r.State = threading.Entering
+	m.entry = append(m.entry, t)
 	m.contended.Add(1)
 	depth := len(m.entry)
 	m.latch.Unlock()
 	lockevent.Enqueue(t, depth)
 	start := lockevent.Stamp(lockevent.KindPark)
-	<-n.granted // direct handoff: owner/count already set for us
+	m.parkUntilGranted(r) // direct handoff: owner/count already set for us
 	lockevent.Park(t, nil, lockevent.WaitFat, start)
 	return true
+}
+
+// parkUntilGranted parks the thread owning r until a handoff grants it
+// the monitor. The caller has queued r, released the latch, and not
+// parked since. Every transition to Granted is followed by an Unpark,
+// so parking before the first check loses no wakeup; any other permit
+// finds r still queued and the thread parks again.
+//
+//lockvet:noalloc
+func (m *Monitor) parkUntilGranted(r *threading.WaitRecord) {
+	for {
+		r.Park()
+		m.latch.Lock()
+		granted := r.State == threading.Granted
+		m.latch.Unlock()
+		if granted {
+			return
+		}
+	}
 }
 
 // TryEnter acquires the monitor only if it can do so without blocking,
@@ -254,29 +258,43 @@ func (m *Monitor) Exit(t *threading.Thread) error {
 		return ErrIllegalMonitorState
 	}
 	m.count--
+	var next *threading.Thread
 	if m.count == 0 {
-		m.handoffLocked()
+		next = m.handoffLocked()
 	}
 	m.latch.Unlock()
+	unpark(next)
 	return nil
 }
 
 // handoffLocked transfers ownership to the head of the entry queue, or
-// marks the monitor unowned. Caller holds the latch and has already set
-// count to 0.
-func (m *Monitor) handoffLocked() {
+// marks the monitor unowned, and returns the new owner for the caller to
+// unpark once it has released the latch (nil if none). Caller holds the
+// latch and has already set count to 0.
+//
+//lockvet:noalloc
+func (m *Monitor) handoffLocked() *threading.Thread {
 	if len(m.entry) == 0 {
 		m.owner = nil
-		return
+		return nil
 	}
-	n := m.entry[0]
-	copy(m.entry, m.entry[1:])
-	m.entry = m.entry[:len(m.entry)-1]
-	m.owner = n.t
-	m.count = n.reentry
-	n.state = stateGranted
-	lockevent.Emit(lockevent.KindHandoff, n.t, nil)
-	n.granted <- struct{}{}
+	next := m.entry[0]
+	m.entry = removeAt(m.entry, 0)
+	r := next.WaitRecord()
+	m.owner = next
+	m.count = r.Count
+	r.State = threading.Granted
+	lockevent.Emit(lockevent.KindHandoff, next, nil)
+	return next
+}
+
+// unpark wakes t, if any, after a handoff granted it the monitor.
+//
+//lockvet:noalloc
+func unpark(t *threading.Thread) {
+	if t != nil {
+		t.WaitRecord().Unpark()
+	}
 }
 
 // Wait releases the monitor completely (whatever the recursion depth),
@@ -301,93 +319,101 @@ func (m *Monitor) Wait(t *threading.Thread, d time.Duration) (notified bool, err
 	}
 	m.waitCount.Add(1)
 	lockevent.Count(t, lockevent.CtrWaits)
-	n := &node{
-		t:       t,
-		granted: make(chan struct{}, 1),
-		intr:    make(chan struct{}),
-		reentry: m.count,
-		state:   stateWaitSet,
-	}
-	m.waits = append(m.waits, n)
+	r := t.WaitRecord()
+	r.Count = m.count
+	r.State = threading.Waiting
+	m.waits = append(m.waits, t)
 	m.count = 0
-	m.handoffLocked()
-	t.SetWaitNode(n)
+	next := m.handoffLocked()
 	m.latch.Unlock()
+	unpark(next)
 
-	interrupted := false
+	// Park until notified, interrupted or timed out. Interrupt sets the
+	// status before it unparks, and the status was clear when we
+	// queued, so an interrupt from here on always ends a park.
+	var deadline time.Time
 	if d > 0 {
-		timer := time.NewTimer(d)
-		select {
-		case <-n.granted:
-			notified = true
-		case <-timer.C:
-			lockevent.Count(t, lockevent.CtrWaitTimerWakeups)
-		case <-n.intr:
-			interrupted = true
-		}
-		timer.Stop()
-	} else {
-		select {
-		case <-n.granted:
-			notified = true
-		case <-n.intr:
-			interrupted = true
-		}
+		deadline = time.Now().Add(d)
 	}
-	t.SetWaitNode(nil)
+	interrupted, timedOut := false, false
+	for {
+		if d <= 0 {
+			r.Park()
+		} else if rem := time.Until(deadline); rem <= 0 || !r.ParkTimeout(rem) {
+			timedOut = true
+		}
+		m.latch.Lock()
+		if r.State != threading.Waiting {
+			// Notify moved us to the entry queue (and an exit may have
+			// granted us the monitor since). This wins over a racing
+			// timeout or interrupt; a pending interrupt status stays
+			// set for the caller, as Java allows.
+			notified = true
+			break
+		}
+		if t.IsInterrupted() {
+			interrupted = true
+			break
+		}
+		if timedOut {
+			lockevent.Count(t, lockevent.CtrWaitTimerWakeups)
+			break
+		}
+		m.latch.Unlock() // a permit from elsewhere: park again
+	}
 
 	if !notified {
-		// Timeout or interrupt. If the node is still in the wait set we
-		// cancel it and re-acquire the lock by queueing normally. If a
-		// concurrent notify already moved it to the entry queue, the
-		// handoff is (or will be) on its way: consume it instead. In
-		// the latter race Java treats the wakeup as a notification; a
-		// pending interrupt status is preserved for the caller.
-		m.latch.Lock()
-		if n.state == stateWaitSet {
-			m.removeWaiterLocked(n)
-			// Re-acquire: become a normal entry-queue node reusing
-			// the same channel and reentry count.
-			switch {
-			case m.owner == nil:
-				m.owner = t
-				m.count = n.reentry
-				n.state = stateGranted
-				m.latch.Unlock()
-			case m.owner == t:
-				// Impossible: we fully released and cannot have
-				// re-entered while blocked.
-				panic("monitor: waiter already owns monitor")
-			default:
-				n.state = stateEntryQueue
-				m.entry = append(m.entry, n)
-				m.contended.Add(1)
-				m.latch.Unlock()
-				<-n.granted
-			}
+		// Timeout or interrupt: leave the wait set and re-acquire by
+		// taking the free monitor or queueing for it, at the saved
+		// depth.
+		m.removeWaiterLocked(t)
+		if m.owner == nil {
+			m.owner = t
+			m.count = r.Count
+			r.State = threading.Granted
 		} else {
-			// Notified concurrently with the timeout/interrupt: a
-			// handoff will arrive on n.granted. Wait for it.
-			m.latch.Unlock()
-			<-n.granted
-			notified = true
+			r.State = threading.Entering
+			m.entry = append(m.entry, t)
+			m.contended.Add(1)
 		}
 	}
+	// Granted here means the grant's permit was the one just consumed
+	// (or there was none, for a free monitor); otherwise it is on its
+	// way.
+	granted := r.State == threading.Granted
+	m.latch.Unlock()
+	if !granted {
+		m.parkUntilGranted(r)
+	}
 
-	if interrupted && t.Interrupted() {
-		return notified, threading.ErrInterrupted
+	if interrupted {
+		t.Interrupted() // clear, as Java does when throwing
+		return false, threading.ErrInterrupted
 	}
 	return notified, nil
 }
 
-// removeWaiterLocked deletes n from the wait set. Caller holds the latch.
-func (m *Monitor) removeWaiterLocked(n *node) {
+// removeWaiterLocked deletes t from the wait set. Caller holds the
+// latch.
+//
+//lockvet:noalloc
+func (m *Monitor) removeWaiterLocked(t *threading.Thread) {
 	for i, w := range m.waits {
-		if w == n {
-			m.waits = append(m.waits[:i], m.waits[i+1:]...)
+		if w == t {
+			m.waits = removeAt(m.waits, i)
 			return
 		}
 	}
+}
+
+// removeAt deletes q[i] in place and clears the vacated slot, so a
+// monitor abandoned with a spare queue capacity pins no former waiter.
+//
+//lockvet:noalloc
+func removeAt(q []*threading.Thread, i int) []*threading.Thread {
+	n := i + copy(q[i:], q[i+1:])
+	q[n] = nil
+	return q[:n]
 }
 
 // Notify moves the longest-waiting thread from the wait set to the entry
@@ -425,11 +451,10 @@ func (m *Monitor) notifyOneLocked() {
 	if len(m.waits) == 0 {
 		return
 	}
-	n := m.waits[0]
-	copy(m.waits, m.waits[1:])
-	m.waits = m.waits[:len(m.waits)-1]
-	n.state = stateEntryQueue
-	m.entry = append(m.entry, n)
+	t := m.waits[0]
+	m.waits = removeAt(m.waits, 0)
+	t.WaitRecord().State = threading.Entering
+	m.entry = append(m.entry, t)
 }
 
 // Owner returns the current owning thread, or nil.

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"thinlock/internal/threading"
 )
 
 func TestRetireLifecycle(t *testing.T) {
@@ -145,20 +143,5 @@ func TestMonitorString(t *testing.T) {
 	}
 	if err := m.Exit(ths[0]); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestInterruptibleInterface(t *testing.T) {
-	t.Parallel()
-	// The wait node satisfies threading.Interruptible; double interrupt
-	// must be safe.
-	var _ threading.Interruptible = (*node)(nil)
-	n := &node{intr: make(chan struct{})}
-	n.WakeForInterrupt()
-	n.WakeForInterrupt() // idempotent via sync.Once
-	select {
-	case <-n.intr:
-	default:
-		t.Fatal("interrupt channel not closed")
 	}
 }

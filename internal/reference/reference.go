@@ -19,31 +19,21 @@ import (
 // ErrIllegalMonitorState mirrors the shared error for misuse.
 var ErrIllegalMonitorState = monitor.ErrIllegalMonitorState
 
-// state is the oracle's per-object monitor.
+// state is the oracle's per-object monitor. Blocked threads park on
+// their own threading.Parker and re-check the state under l.mu on every
+// wake, so a wake with nothing to report only costs a retry.
 type state struct {
 	owner   *threading.Thread
 	count   int
 	waiters []*waiter
-	// entryWake signals lock availability to blocked entrants.
-	entryWake chan struct{}
+	// blocked are the entrants to wake when the lock is released.
+	blocked []*threading.Thread
 }
 
 type waiter struct {
-	ch       chan struct{} // closed on notify
+	t        *threading.Thread
 	notified bool
 }
-
-// irqNode adapts the oracle's channel-based wait to the interrupt
-// delivery of threading.Thread.Interrupt, which wakes whatever
-// Interruptible the thread registered. Interrupt may fire more than
-// once; the sync.Once keeps the close idempotent.
-type irqNode struct {
-	once sync.Once
-	ch   chan struct{}
-}
-
-// WakeForInterrupt implements threading.Interruptible.
-func (n *irqNode) WakeForInterrupt() { n.once.Do(func() { close(n.ch) }) }
 
 // Locker is the oracle. It implements lockapi.Locker.
 type Locker struct {
@@ -63,7 +53,7 @@ func (l *Locker) Name() string { return "Reference" }
 func (l *Locker) get(o *object.Object) *state {
 	s := l.states[o.ID()]
 	if s == nil {
-		s = &state{entryWake: make(chan struct{})}
+		s = &state{}
 		l.states[o.ID()] = s
 	}
 	return s
@@ -85,10 +75,20 @@ func (l *Locker) Lock(t *threading.Thread, o *object.Object) {
 			l.mu.Unlock()
 			return
 		}
-		wake := s.entryWake
+		s.blocked = append(s.blocked, t)
 		l.mu.Unlock()
-		<-wake // wait for a release broadcast, then retry
+		t.Parker().Park() // wait for a release broadcast, then retry
 	}
+}
+
+// releaseLocked makes s unowned and wakes every blocked entrant to
+// retry. Caller holds l.mu.
+func (s *state) releaseLocked() {
+	s.owner = nil
+	for _, b := range s.blocked {
+		b.Parker().Unpark()
+	}
+	s.blocked = nil
 }
 
 // Unlock implements lockapi.Locker.
@@ -101,9 +101,7 @@ func (l *Locker) Unlock(t *threading.Thread, o *object.Object) error {
 	}
 	s.count--
 	if s.count == 0 {
-		s.owner = nil
-		close(s.entryWake)
-		s.entryWake = make(chan struct{})
+		s.releaseLocked()
 	}
 	return nil
 }
@@ -121,49 +119,36 @@ func (l *Locker) Wait(t *threading.Thread, o *object.Object, d time.Duration) (b
 		t.Interrupted()
 		return false, threading.ErrInterrupted
 	}
-	w := &waiter{ch: make(chan struct{})}
+	w := &waiter{t: t}
 	s.waiters = append(s.waiters, w)
 	saved := s.count
 	s.count = 0
-	s.owner = nil
-	close(s.entryWake)
-	s.entryWake = make(chan struct{})
-	in := &irqNode{ch: make(chan struct{})}
-	t.SetWaitNode(in)
-	l.mu.Unlock()
-
-	notified, interrupted := false, false
+	s.releaseLocked()
+	var deadline time.Time
 	if d > 0 {
-		timer := time.NewTimer(d)
-		select {
-		case <-w.ch:
-			notified = true
-		case <-timer.C:
-		case <-in.ch:
-			interrupted = true
-		}
-		timer.Stop()
-	} else {
-		select {
-		case <-w.ch:
-			notified = true
-		case <-in.ch:
-			interrupted = true
-		}
+		deadline = time.Now().Add(d)
 	}
-	t.SetWaitNode(nil)
-
-	l.mu.Lock()
+	interrupted, timedOut := false, false
+	for !w.notified && !timedOut {
+		if interrupted = t.IsInterrupted(); interrupted {
+			break
+		}
+		l.mu.Unlock()
+		if d <= 0 {
+			t.Parker().Park()
+		} else if rem := time.Until(deadline); rem <= 0 || !t.Parker().ParkTimeout(rem) {
+			timedOut = true
+		}
+		l.mu.Lock()
+	}
+	// A notification that raced the timeout or interrupt wins (the loop
+	// checks it first); the interrupt status then stays pending.
+	notified := w.notified
 	if !notified {
-		if w.notified {
-			// Notify raced the timeout: treat as notified.
-			notified = true
-		} else {
-			for i, x := range s.waiters {
-				if x == w {
-					s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-					break
-				}
+		for i, x := range s.waiters {
+			if x == w {
+				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
+				break
 			}
 		}
 	}
@@ -174,12 +159,11 @@ func (l *Locker) Wait(t *threading.Thread, o *object.Object, d time.Duration) (b
 	l.mu.Lock()
 	s.count = saved
 	l.mu.Unlock()
-	// As in internal/monitor: an interrupt wake whose status is still
-	// pending reports ErrInterrupted (consuming the status); if a
-	// concurrent notify raced ahead of the interrupt delivery, the
-	// wakeup counts as the notification and the status stays pending.
-	if interrupted && t.Interrupted() {
-		return notified, threading.ErrInterrupted
+	// As in internal/monitor: an interrupted, unnotified wait reports
+	// ErrInterrupted and consumes the status.
+	if interrupted {
+		t.Interrupted()
+		return false, threading.ErrInterrupted
 	}
 	return notified, nil
 }
@@ -196,7 +180,7 @@ func (l *Locker) Notify(t *threading.Thread, o *object.Object) error {
 		w := s.waiters[0]
 		s.waiters = s.waiters[1:]
 		w.notified = true
-		close(w.ch)
+		w.t.Parker().Unpark()
 	}
 	return nil
 }
@@ -211,7 +195,7 @@ func (l *Locker) NotifyAll(t *threading.Thread, o *object.Object) error {
 	}
 	for _, w := range s.waiters {
 		w.notified = true
-		close(w.ch)
+		w.t.Parker().Unpark()
 	}
 	s.waiters = nil
 	return nil

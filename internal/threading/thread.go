@@ -9,8 +9,12 @@
 // caller threads through lock operations, and a Registry hands out and
 // recycles the 15-bit indices.
 //
-// Blocking is built on a channel-based binary semaphore (Parker), since Go
-// does not expose a goroutine park/unpark primitive.
+// Blocking is built on one reusable wait record per thread (WaitRecord):
+// a thread blocks in at most one place at a time, so the record a lock
+// queues — the lock count to restore, the queue state and the thread's
+// Parker, a channel-based binary semaphore standing in for the goroutine
+// park/unpark primitive Go does not expose — is allocated once, with the
+// Thread, rather than per block.
 package threading
 
 import (
@@ -51,13 +55,8 @@ type Thread struct {
 	name        string
 	proc        uint32 // see ProcIndex
 	registry    *Registry
-	parker      Parker
+	wait        WaitRecord
 	interrupted atomic.Bool
-
-	// waitMu guards waitNode, the node for an in-progress monitor wait,
-	// so Interrupt can find and wake it.
-	waitMu   sync.Mutex
-	waitNode Interruptible
 
 	// frameMethod/framePC are the interpreter's currently executing
 	// method and bytecode pc, published by internal/vm around lock
@@ -72,14 +71,6 @@ type Thread struct {
 	// biasSlots holds the thread's lock reservations (see bias.go).
 	// Written only by the owning goroutine; read by revoking threads.
 	biasSlots [BiasSlots]BiasSlot
-}
-
-// Interruptible is implemented by blocked states (e.g. a monitor wait
-// node) that an Interrupt call must be able to wake.
-type Interruptible interface {
-	// WakeForInterrupt attempts to wake the blocked thread because it
-	// was interrupted.
-	WakeForInterrupt()
 }
 
 // Index returns the thread's 15-bit index (1..MaxThreads). It is 0 only
@@ -142,18 +133,18 @@ func (t *Thread) String() string {
 }
 
 // Parker returns the thread's parking semaphore.
-func (t *Thread) Parker() *Parker { return &t.parker }
+func (t *Thread) Parker() *Parker { return &t.wait.Parker }
 
-// Interrupt sets the thread's interrupt status and wakes it if it is
-// blocked in an interruptible wait.
+// WaitRecord returns the thread's wait record.
+func (t *Thread) WaitRecord() *WaitRecord { return &t.wait }
+
+// Interrupt sets the thread's interrupt status and unparks it. Every
+// park re-checks its own condition on waking, so the wake ends only an
+// interruptible block (a monitor wait); a thread blocked entering a
+// lock parks again.
 func (t *Thread) Interrupt() {
 	t.interrupted.Store(true)
-	t.waitMu.Lock()
-	n := t.waitNode
-	t.waitMu.Unlock()
-	if n != nil {
-		n.WakeForInterrupt()
-	}
+	t.wait.Unpark()
 }
 
 // Interrupted reports and clears the thread's interrupt status, like
@@ -190,15 +181,6 @@ func (t *Thread) ClearFrame() {
 // by the owning goroutine.
 func (t *Thread) Frame() (method string, pc int32, ok bool) {
 	return t.frameMethod, t.framePC, t.frameSet
-}
-
-// SetWaitNode publishes (or, with nil, clears) the thread's current
-// interruptible wait so Interrupt can reach it. It is called by the
-// monitor implementation around a wait.
-func (t *Thread) SetWaitNode(n Interruptible) {
-	t.waitMu.Lock()
-	t.waitNode = n
-	t.waitMu.Unlock()
 }
 
 // Registry hands out thread indices and maps them back to Threads,
@@ -319,12 +301,38 @@ func (r *Registry) Go(name string, fn func(*Thread)) (<-chan struct{}, error) {
 	return done, nil
 }
 
+// WaitState says where a thread's wait record is queued (see
+// WaitRecord).
+type WaitState uint8
+
+const (
+	NotQueued WaitState = iota // in no queue
+	Entering                   // queued to acquire a lock
+	Waiting                    // in a monitor's wait set
+	Granted                    // handed ownership by a releasing thread
+)
+
+// WaitRecord is the state a lock queues for a blocked thread. Each
+// Thread owns exactly one, reused for every block. A waker changes State
+// under the queue's latch and then unparks the thread; the thread parks
+// in a loop that re-checks State under the same latch. A permit that
+// finds the record still queued — an interrupt, a biased revoker's
+// wake, an unpark that arrived after its thread had moved on — is
+// therefore harmless: the thread parks again.
+type WaitRecord struct {
+	Parker
+	Count uint32 // lock count to restore when ownership is handed over
+	State WaitState
+}
+
 // Parker is a one-permit binary semaphore used to block and unblock a
 // thread. Unpark before Park leaves a permit so the wakeup is never lost;
-// multiple Unparks coalesce into one permit.
+// multiple Unparks coalesce into one permit. Park and ParkTimeout are
+// called only by the owning thread.
 type Parker struct {
-	once sync.Once
-	ch   chan struct{}
+	once  sync.Once
+	ch    chan struct{}
+	timer *time.Timer // ParkTimeout's, reused across calls
 }
 
 func (p *Parker) init() {
@@ -340,6 +348,12 @@ func (p *Parker) Park() {
 // ParkTimeout blocks until a permit is available or d elapses. It reports
 // whether a permit was consumed (true) or the timeout fired (false).
 // A non-positive d polls without blocking.
+//
+// The timer is the Parker's own, re-armed on each call. Under the go
+// 1.22 timer semantics this module declares, a timer that fires before
+// Stop leaves its tick buffered in C, so when a permit wins the race the
+// tick is drained; otherwise the next call would read it as its own
+// timeout.
 func (p *Parker) ParkTimeout(d time.Duration) bool {
 	p.init()
 	if d <= 0 {
@@ -350,13 +364,25 @@ func (p *Parker) ParkTimeout(d time.Duration) bool {
 			return false
 		}
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	if p.timer == nil {
+		p.timer = time.NewTimer(d)
+	} else {
+		p.timer.Reset(d)
+	}
 	select {
 	case <-p.ch:
+		p.stopTimer()
 		return true
-	case <-timer.C:
+	case <-p.timer.C:
 		return false
+	}
+}
+
+// stopTimer stops the armed timer, whose tick nobody has received, and
+// drains the tick if the timer fired first.
+func (p *Parker) stopTimer() {
+	if !p.timer.Stop() {
+		<-p.timer.C
 	}
 }
 

@@ -235,6 +235,26 @@ func TestParkerTimeout(t *testing.T) {
 	}
 }
 
+// TestParkTimeoutLeavesNoStaleTick sets up the race a permit can win
+// against the reused timer: the timer fires, its tick unreceived, and
+// then the permit's side stops it. The next ParkTimeout must still wait
+// out its own timeout rather than read the old tick.
+func TestParkTimeoutLeavesNoStaleTick(t *testing.T) {
+	t.Parallel()
+	var p Parker
+	p.ParkTimeout(time.Microsecond) // arms the reused timer
+	p.timer.Reset(time.Microsecond)
+	time.Sleep(5 * time.Millisecond) // it fires; nobody receives the tick
+	p.stopTimer()
+	start := time.Now()
+	if p.ParkTimeout(20 * time.Millisecond) {
+		t.Fatal("ParkTimeout returned true with no permit")
+	}
+	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
+		t.Fatalf("ParkTimeout timed out after %v, before its 20ms timeout: a stale tick", elapsed)
+	}
+}
+
 func TestParkerParkAfterUnparkCrossGoroutine(t *testing.T) {
 	t.Parallel()
 	var p Parker
@@ -252,10 +272,6 @@ func TestParkerParkAfterUnparkCrossGoroutine(t *testing.T) {
 	}
 }
 
-type fakeWaitNode struct{ woke chan struct{} }
-
-func (f *fakeWaitNode) WakeForInterrupt() { close(f.woke) }
-
 func TestInterruptStatusAndWake(t *testing.T) {
 	t.Parallel()
 	r := NewRegistry()
@@ -263,13 +279,9 @@ func TestInterruptStatusAndWake(t *testing.T) {
 	if th.IsInterrupted() {
 		t.Fatal("fresh thread interrupted")
 	}
-	n := &fakeWaitNode{woke: make(chan struct{})}
-	th.SetWaitNode(n)
 	th.Interrupt()
-	select {
-	case <-n.woke:
-	default:
-		t.Fatal("Interrupt did not wake the wait node")
+	if !th.Parker().ParkTimeout(0) {
+		t.Fatal("Interrupt did not unpark the thread")
 	}
 	if !th.IsInterrupted() {
 		t.Fatal("interrupt status not set")
@@ -280,8 +292,6 @@ func TestInterruptStatusAndWake(t *testing.T) {
 	if th.IsInterrupted() {
 		t.Fatal("Interrupted() did not clear status")
 	}
-	th.SetWaitNode(nil)
-	th.Interrupt() // no node: must not panic
 }
 
 func TestThreadString(t *testing.T) {
