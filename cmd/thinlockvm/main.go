@@ -123,9 +123,9 @@ func main() {
 	}
 	if tl, ok := locker.(*core.ThinLocks); ok {
 		s := tl.Stats()
-		fmt.Printf("thin-lock stats: inflations=%d (contention=%d overflow=%d wait=%d) spins=%d fat locks=%d\n",
+		fmt.Printf("thin-lock stats: inflations=%d (contention=%d overflow=%d wait=%d) fat locks=%d\n",
 			s.Inflations(), s.InflationsContention, s.InflationsOverflow,
-			s.InflationsWait, s.SpinAcquisitions, s.FatLocks)
+			s.InflationsWait, s.FatLocks)
 		fmt.Printf("counter object inflated: %v\n", tl.Inflated(obj.Object))
 	}
 }

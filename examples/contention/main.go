@@ -73,9 +73,8 @@ func main() {
 	fmt.Printf("private objects thin:    %d / %d\n", thinCount, threads)
 
 	s := rt.ThinLockStats()
-	fmt.Printf("inflations: contention=%d overflow=%d wait=%d; spins=%d; fat locks=%d\n",
-		s.InflationsContention, s.InflationsOverflow, s.InflationsWait,
-		s.SpinAcquisitions, s.FatLocks)
+	fmt.Printf("inflations: contention=%d overflow=%d wait=%d; fat locks=%d\n",
+		s.InflationsContention, s.InflationsOverflow, s.InflationsWait, s.FatLocks)
 	fmt.Printf("(%d sync ops performed; only %d monitor(s) ever allocated)\n",
 		2*want, s.FatLocks)
 }

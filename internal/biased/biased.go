@@ -122,29 +122,13 @@ type Options struct {
 	TestMutations Mutations
 }
 
-// Stats is a snapshot of a biased Locker's internal counters. Biased
-// fast-path acquisitions are deliberately not counted here — an
-// implementation counter would put an atomic add on the path whose
-// whole point is having none; enable internal/telemetry
-// (CtrBiasedAcquires) to count them.
+// Stats is a snapshot of a biased Locker's inflation counters, which
+// the differential checker holds against the monitor count after
+// quiescence. Every other fact of the protocol (installs, biased
+// acquisitions, transfers, revocations, bulk rebias and revoke, spins)
+// is reported only through internal/lockevent; enable
+// internal/telemetry to count them.
 type Stats struct {
-	// BiasInstalls counts reservations installed on unlocked objects.
-	BiasInstalls uint64
-	// BiasTransfers counts stale reservations taken over by a new
-	// thread without a full revocation.
-	BiasTransfers uint64
-	// RevocationsContention counts reservations revoked by a
-	// contending thread.
-	RevocationsContention uint64
-	// RevocationsWait counts owner self-revocations forced by Wait.
-	RevocationsWait uint64
-	// RevocationsOverflow counts owner self-revocations forced by
-	// recursion past the biased depth cap.
-	RevocationsOverflow uint64
-	// BulkRebiases counts class-epoch bumps.
-	BulkRebiases uint64
-	// BulkRevokes counts classes declared unbiasable.
-	BulkRevokes uint64
 	// InflationsContention counts inflations of the thin fall-back
 	// caused by contention.
 	InflationsContention uint64
@@ -154,18 +138,8 @@ type Stats struct {
 	InflationsOverflow uint64
 	// InflationsWait counts inflations caused by a wait operation.
 	InflationsWait uint64
-	// SpinAcquisitions counts slow-path acquisitions that spun for a
-	// thin lock held by another thread.
-	SpinAcquisitions uint64
-	// SpinRounds counts individual back-off pauses across all spins.
-	SpinRounds uint64
 	// FatLocks is the number of monitors ever allocated.
 	FatLocks int
-}
-
-// Revocations returns the total number of revocations for any cause.
-func (s Stats) Revocations() uint64 {
-	return s.RevocationsContention + s.RevocationsWait + s.RevocationsOverflow
 }
 
 // Inflations returns the total number of inflations for any cause.
@@ -200,18 +174,9 @@ type Locker struct {
 
 	classes sync.Map // class string → *classBias
 
-	biasInstalls   atomic.Uint64
-	biasTransfers  atomic.Uint64
-	revContention  atomic.Uint64
-	revWait        atomic.Uint64
-	revOverflow    atomic.Uint64
-	bulkRebiases   atomic.Uint64
-	bulkRevokes    atomic.Uint64
 	inflContention atomic.Uint64
 	inflOverflow   atomic.Uint64
 	inflWait       atomic.Uint64
-	spinAcq        atomic.Uint64
-	spinRounds     atomic.Uint64
 }
 
 // New returns a biased Locker with the given options.
@@ -258,19 +223,10 @@ func (l *Locker) Name() string {
 // Stats returns a snapshot of the instance's counters.
 func (l *Locker) Stats() Stats {
 	return Stats{
-		BiasInstalls:          l.biasInstalls.Load(),
-		BiasTransfers:         l.biasTransfers.Load(),
-		RevocationsContention: l.revContention.Load(),
-		RevocationsWait:       l.revWait.Load(),
-		RevocationsOverflow:   l.revOverflow.Load(),
-		BulkRebiases:          l.bulkRebiases.Load(),
-		BulkRevokes:           l.bulkRevokes.Load(),
-		InflationsContention:  l.inflContention.Load(),
-		InflationsOverflow:    l.inflOverflow.Load(),
-		InflationsWait:        l.inflWait.Load(),
-		SpinAcquisitions:      l.spinAcq.Load(),
-		SpinRounds:            l.spinRounds.Load(),
-		FatLocks:              l.table.Len(),
+		InflationsContention: l.inflContention.Load(),
+		InflationsOverflow:   l.inflOverflow.Load(),
+		InflationsWait:       l.inflWait.Load(),
+		FatLocks:             l.table.Len(),
 	}
 }
 

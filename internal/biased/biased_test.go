@@ -33,9 +33,11 @@ func (w *world) thread(t *testing.T, name string) *threading.Thread {
 
 // TestReservationLifecycle: the first acquisition installs a
 // reservation; re-acquisitions and releases by the owner leave the
-// header word untouched and cost no further installs.
+// header word untouched and cost no further installs. Not parallel:
+// telemetry is process-global.
 func TestReservationLifecycle(t *testing.T) {
-	t.Parallel()
+	tel := telemetry.Enable(telemetry.New())
+	defer telemetry.Disable()
 	w := newWorld(t, Options{})
 	a := w.thread(t, "a")
 	o := w.heap.New("obj")
@@ -63,12 +65,11 @@ func TestReservationLifecycle(t *testing.T) {
 	if got := o.Header(); got != header {
 		t.Fatalf("owner's reacquisitions wrote the header: %#08x → %#08x", header, got)
 	}
-	s := w.l.Stats()
-	if s.BiasInstalls != 1 {
-		t.Fatalf("BiasInstalls = %d, want 1", s.BiasInstalls)
+	if got := tel.Counter(telemetry.CtrBiasInstalls); got != 1 {
+		t.Fatalf("bias_installs = %d, want 1", got)
 	}
-	if s.Revocations() != 0 || s.Inflations() != 0 || s.FatLocks != 0 {
-		t.Fatalf("single-owner use triggered revocation/inflation: %+v", s)
+	if s := w.l.Stats(); revocations(tel) != 0 || s.Inflations() != 0 || s.FatLocks != 0 {
+		t.Fatalf("single-owner use triggered revocation/inflation: %d revocations, %+v", revocations(tel), s)
 	}
 	if err := w.l.Unlock(a, o); err != ErrIllegalMonitorState {
 		t.Fatalf("unheld unlock err = %v, want ErrIllegalMonitorState", err)
@@ -78,9 +79,10 @@ func TestReservationLifecycle(t *testing.T) {
 // TestContenderRevokesUnheldReservation: a second thread locking an
 // object whose reservation is not currently held must revoke the bias
 // (rebiasing is off here, so no transfer) and acquire a conventional
-// thin lock.
+// thin lock. Not parallel: telemetry is process-global.
 func TestContenderRevokesUnheldReservation(t *testing.T) {
-	t.Parallel()
+	tel := telemetry.Enable(telemetry.New())
+	defer telemetry.Disable()
 	w := newWorld(t, Options{DisableRebias: true})
 	a, b := w.thread(t, "a"), w.thread(t, "b")
 	o := w.heap.New("obj")
@@ -99,16 +101,15 @@ func TestContenderRevokesUnheldReservation(t *testing.T) {
 	if err := w.l.Unlock(b, o); err != nil {
 		t.Fatal(err)
 	}
-	s := w.l.Stats()
-	if s.RevocationsContention != 1 {
-		t.Fatalf("RevocationsContention = %d, want 1", s.RevocationsContention)
+	if got := tel.Counter(telemetry.CtrBiasRevocationsContention); got != 1 {
+		t.Fatalf("bias_revocations_contention = %d, want 1", got)
 	}
-	if s.BiasTransfers != 0 {
-		t.Fatalf("BiasTransfers = %d with rebiasing disabled", s.BiasTransfers)
+	if got := tel.Counter(telemetry.CtrBiasTransfers); got != 0 {
+		t.Fatalf("bias_transfers = %d with rebiasing disabled", got)
 	}
 	// Revoking an unheld reservation allocates no monitor.
-	if s.FatLocks != 0 {
-		t.Fatalf("FatLocks = %d after an uncontended revocation", s.FatLocks)
+	if n := w.l.Stats().FatLocks; n != 0 {
+		t.Fatalf("FatLocks = %d after an uncontended revocation", n)
 	}
 	// The object must never re-bias after revocation.
 	w.l.Lock(a, o)
@@ -123,9 +124,10 @@ func TestContenderRevokesUnheldReservation(t *testing.T) {
 // TestContenderRevokesHeldReservation: revoking a reservation held at
 // depth 2 must surface exactly depth 2 in the conventional word — the
 // owner unwinds with exactly two unlocks and the blocked contender then
-// acquires.
+// acquires. Not parallel: telemetry is process-global.
 func TestContenderRevokesHeldReservation(t *testing.T) {
-	t.Parallel()
+	tel := telemetry.Enable(telemetry.New())
+	defer telemetry.Disable()
 	w := newWorld(t, Options{})
 	a := w.thread(t, "a")
 	o := w.heap.New("obj")
@@ -168,19 +170,20 @@ func TestContenderRevokesHeldReservation(t *testing.T) {
 	if err := w.l.Unlock(a, o); err != ErrIllegalMonitorState {
 		t.Fatalf("third unlock err = %v, want ErrIllegalMonitorState", err)
 	}
-	s := w.l.Stats()
-	if s.RevocationsContention != 1 {
-		t.Fatalf("RevocationsContention = %d, want 1", s.RevocationsContention)
+	if got := tel.Counter(telemetry.CtrBiasRevocationsContention); got != 1 {
+		t.Fatalf("bias_revocations_contention = %d, want 1", got)
 	}
-	if uint64(s.FatLocks) != s.Inflations() {
+	if s := w.l.Stats(); uint64(s.FatLocks) != s.Inflations() {
 		t.Fatalf("FatLocks = %d, Inflations = %d: monitor accounting broken", s.FatLocks, s.Inflations())
 	}
 }
 
 // TestWaitSelfRevokesToFat: Wait on a reserved object must self-revoke
-// straight to a fat lock carrying the reservation's depth.
+// straight to a fat lock carrying the reservation's depth. Not
+// parallel: telemetry is process-global.
 func TestWaitSelfRevokesToFat(t *testing.T) {
-	t.Parallel()
+	tel := telemetry.Enable(telemetry.New())
+	defer telemetry.Disable()
 	w := newWorld(t, Options{})
 	a := w.thread(t, "a")
 	o := w.heap.New("obj")
@@ -197,9 +200,8 @@ func TestWaitSelfRevokesToFat(t *testing.T) {
 	if !w.l.Inflated(o) {
 		t.Fatal("Wait on a reservation did not inflate")
 	}
-	s := w.l.Stats()
-	if s.RevocationsWait != 1 || s.InflationsWait != 1 {
-		t.Fatalf("RevocationsWait = %d, InflationsWait = %d, want 1/1", s.RevocationsWait, s.InflationsWait)
+	if rev, infl := tel.Counter(telemetry.CtrBiasRevocationsWait), w.l.Stats().InflationsWait; rev != 1 || infl != 1 {
+		t.Fatalf("bias_revocations_wait = %d, InflationsWait = %d, want 1/1", rev, infl)
 	}
 	for i := 0; i < 2; i++ {
 		if err := w.l.Unlock(a, o); err != nil {
@@ -213,8 +215,10 @@ func TestWaitSelfRevokesToFat(t *testing.T) {
 
 // TestOverflowSelfRevokesToFat: recursion past the biased depth cap
 // (128) self-revokes to a fat lock; the full depth must unwind exactly.
+// Not parallel: telemetry is process-global.
 func TestOverflowSelfRevokesToFat(t *testing.T) {
-	t.Parallel()
+	tel := telemetry.Enable(telemetry.New())
+	defer telemetry.Disable()
 	w := newWorld(t, Options{})
 	a := w.thread(t, "a")
 	o := w.heap.New("obj")
@@ -226,10 +230,8 @@ func TestOverflowSelfRevokesToFat(t *testing.T) {
 	if !w.l.Inflated(o) {
 		t.Fatal("recursion past the bias depth cap did not inflate")
 	}
-	s := w.l.Stats()
-	if s.RevocationsOverflow != 1 || s.InflationsOverflow != 1 {
-		t.Fatalf("RevocationsOverflow = %d, InflationsOverflow = %d, want 1/1",
-			s.RevocationsOverflow, s.InflationsOverflow)
+	if rev, infl := tel.Counter(telemetry.CtrBiasRevocationsOverflow), w.l.Stats().InflationsOverflow; rev != 1 || infl != 1 {
+		t.Fatalf("bias_revocations_overflow = %d, InflationsOverflow = %d, want 1/1", rev, infl)
 	}
 	for i := 0; i < depth; i++ {
 		if err := w.l.Unlock(a, o); err != nil {
@@ -243,9 +245,11 @@ func TestOverflowSelfRevokesToFat(t *testing.T) {
 
 // TestBulkRebiasTransfersStaleReservation: after a class-epoch bump, an
 // unheld reservation stamped with the old epoch is transferred to the
-// contender (one CAS) instead of being revoked to a thin word.
+// contender (one CAS) instead of being revoked to a thin word. Not
+// parallel: telemetry is process-global.
 func TestBulkRebiasTransfersStaleReservation(t *testing.T) {
-	t.Parallel()
+	tel := telemetry.Enable(telemetry.New())
+	defer telemetry.Disable()
 	w := newWorld(t, Options{RebiasThreshold: 1})
 	a, b := w.thread(t, "a"), w.thread(t, "b")
 	churn, target := w.heap.New("cls"), w.heap.New("cls")
@@ -265,8 +269,8 @@ func TestBulkRebiasTransfersStaleReservation(t *testing.T) {
 	if err := w.l.Unlock(b, churn); err != nil {
 		t.Fatal(err)
 	}
-	if s := w.l.Stats(); s.BulkRebiases != 1 {
-		t.Fatalf("BulkRebiases = %d after the threshold revocation, want 1", s.BulkRebiases)
+	if got := tel.Counter(telemetry.CtrBulkRebiases); got != 1 {
+		t.Fatalf("bulk_rebiases = %d after the threshold revocation, want 1", got)
 	}
 	// The contender now finds a stale, unheld reservation: transfer.
 	w.l.Lock(b, target)
@@ -276,9 +280,8 @@ func TestBulkRebiasTransfersStaleReservation(t *testing.T) {
 	if err := w.l.Unlock(b, target); err != nil {
 		t.Fatal(err)
 	}
-	s := w.l.Stats()
-	if s.BiasTransfers != 1 {
-		t.Fatalf("BiasTransfers = %d, want 1", s.BiasTransfers)
+	if got := tel.Counter(telemetry.CtrBiasTransfers); got != 1 {
+		t.Fatalf("bias_transfers = %d, want 1", got)
 	}
 	// The new reservation must serve its owner's fast path.
 	w.l.Lock(b, target)
@@ -295,9 +298,10 @@ func TestBulkRebiasTransfersStaleReservation(t *testing.T) {
 
 // TestBulkRevokeDisablesClass: past the revoke threshold the class is
 // declared unbiasable and new objects of that class go straight to thin
-// words.
+// words. Not parallel: telemetry is process-global.
 func TestBulkRevokeDisablesClass(t *testing.T) {
-	t.Parallel()
+	tel := telemetry.Enable(telemetry.New())
+	defer telemetry.Disable()
 	w := newWorld(t, Options{DisableRebias: true, RevokeThreshold: 2})
 	a, b := w.thread(t, "a"), w.thread(t, "b")
 
@@ -312,9 +316,9 @@ func TestBulkRevokeDisablesClass(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := w.l.Stats()
-	if s.BulkRevokes != 1 {
-		t.Fatalf("BulkRevokes = %d after %d revocations, want 1", s.BulkRevokes, s.RevocationsContention)
+	if got := tel.Counter(telemetry.CtrBulkRevokes); got != 1 {
+		t.Fatalf("bulk_revokes = %d after %d revocations, want 1",
+			got, tel.Counter(telemetry.CtrBiasRevocationsContention))
 	}
 	fresh := w.heap.New("hot")
 	w.l.Lock(a, fresh)
@@ -336,9 +340,11 @@ func TestBulkRevokeDisablesClass(t *testing.T) {
 }
 
 // TestDisableBiasDegeneratesToThin: with bias off the implementation is
-// a plain thin lock and never reserves anything.
+// a plain thin lock and never reserves anything. Not parallel:
+// telemetry is process-global.
 func TestDisableBiasDegeneratesToThin(t *testing.T) {
-	t.Parallel()
+	tel := telemetry.Enable(telemetry.New())
+	defer telemetry.Disable()
 	w := newWorld(t, Options{DisableBias: true})
 	a := w.thread(t, "a")
 	o := w.heap.New("obj")
@@ -353,9 +359,16 @@ func TestDisableBiasDegeneratesToThin(t *testing.T) {
 	if err := w.l.Unlock(a, o); err != nil {
 		t.Fatal(err)
 	}
-	if s := w.l.Stats(); s.BiasInstalls != 0 {
-		t.Fatalf("BiasInstalls = %d with DisableBias", s.BiasInstalls)
+	if got := tel.Counter(telemetry.CtrBiasInstalls); got != 0 {
+		t.Fatalf("bias_installs = %d with DisableBias", got)
 	}
+}
+
+// revocations sums tel's bias revocation counters over every cause.
+func revocations(tel *telemetry.Telemetry) uint64 {
+	return tel.Counter(telemetry.CtrBiasRevocationsContention) +
+		tel.Counter(telemetry.CtrBiasRevocationsWait) +
+		tel.Counter(telemetry.CtrBiasRevocationsOverflow)
 }
 
 // TestNames pins the Name values the registries and reports key on.

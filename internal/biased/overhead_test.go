@@ -60,7 +60,13 @@ func TestFastPathZeroAllocWhenProfilingDisabled(t *testing.T) {
 	}); avg > 0 {
 		t.Errorf("revocation allocates %.2f objects/op with profiling disabled", avg)
 	}
-	if s := w.l.Stats(); s.Revocations() == 0 {
+	revoked := 0 // the others were stale reservations, transferred
+	for _, o := range objs {
+		if o.Flags()&FlagBiasDead != 0 {
+			revoked++
+		}
+	}
+	if revoked == 0 {
 		t.Error("overhead run exercised no revocations — the measurement is vacuous")
 	}
 }

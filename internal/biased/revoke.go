@@ -67,7 +67,6 @@ func (l *Locker) revoke(t *threading.Thread, o *object.Object, w uint32) bool {
 			if ownerT != nil {
 				ownerT.Parker().Unpark()
 			}
-			l.biasTransfers.Add(1)
 			lockevent.Count(t, lockevent.CtrBiasTransfers)
 			return true
 		}
@@ -92,7 +91,6 @@ func (l *Locker) revoke(t *threading.Thread, o *object.Object, w uint32) bool {
 	if ownerT != nil {
 		ownerT.Parker().Unpark()
 	}
-	l.revContention.Add(1)
 	lockevent.Revoke(t, o, lockevent.CauseContention)
 	return false
 }
@@ -118,11 +116,9 @@ func (l *Locker) bumpClassRevocation(t *threading.Thread, cls *classBias) {
 	n := cls.revocations.Add(1)
 	if !l.disableRebias && n%l.rebiasEvery == 0 && n < l.revokeAt {
 		cls.epoch.Add(1)
-		l.bulkRebiases.Add(1)
 		lockevent.Count(t, lockevent.CtrBulkRebiases)
 	}
 	if n >= l.revokeAt && cls.unbiasable.CompareAndSwap(false, true) {
-		l.bulkRevokes.Add(1)
 		lockevent.Count(t, lockevent.CtrBulkRevokes)
 	}
 }
@@ -142,7 +138,6 @@ func (l *Locker) selfRevokeOverflow(t *threading.Thread, o *object.Object, s *th
 	m.SeedOwner(t, uint32(d)+1)
 	s.Release()
 	o.SetHeader(core.InflatedWord(m.Index(), w))
-	l.revOverflow.Add(1)
 	l.inflOverflow.Add(1)
 	lockevent.Revoke(t, o, lockevent.CauseOverflow)
 	lockevent.Inflate(t, o, lockevent.CauseOverflow)
@@ -177,7 +172,6 @@ func (l *Locker) waitRevoke(t *threading.Thread, o *object.Object, s *threading.
 		m.SeedOwner(t, uint32(d))
 		s.Release()
 		o.SetHeader(core.InflatedWord(m.Index(), w))
-		l.revWait.Add(1)
 		l.inflWait.Add(1)
 		lockevent.Revoke(t, o, lockevent.CauseWait)
 		lockevent.Inflate(t, o, lockevent.CauseWait)

@@ -48,7 +48,6 @@ func (l *Locker) lockSlowBody(t *threading.Thread, o *object.Object) {
 			// Another thread is mid-revocation (possibly of our own
 			// reservation); it owns the word until it publishes the
 			// walked state.
-			l.spinRounds.Add(1)
 			lockevent.Spin(t, o, lockevent.WaitRevocation)
 			b.Pause()
 
@@ -88,7 +87,6 @@ func (l *Locker) lockSlowBody(t *threading.Thread, o *object.Object) {
 				if spun {
 					// Locality of contention (§2.3.4): an object that
 					// has shown contention once will again.
-					l.spinAcq.Add(1)
 					l.inflContention.Add(1)
 					lockevent.Inflate(t, o, lockevent.CauseContention)
 					l.inflate(t, o, 1)
@@ -101,7 +99,6 @@ func (l *Locker) lockSlowBody(t *threading.Thread, o *object.Object) {
 			// Thin-locked by another thread: spin with back-off until
 			// the owner releases.
 			spun = true
-			l.spinRounds.Add(1)
 			lockevent.Spin(t, o, lockevent.WaitSpin)
 			b.Pause()
 		}
@@ -128,7 +125,6 @@ func (l *Locker) tryInstallBias(t *threading.Thread, o *object.Object, w uint32)
 	s.SetWord(nw)
 	s.SetDepth(1)
 	if o.CASHeader(w, nw) {
-		l.biasInstalls.Add(1)
 		lockevent.Count(t, lockevent.CtrBiasInstalls)
 		return true
 	}

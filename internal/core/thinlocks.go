@@ -121,9 +121,6 @@ type Stats struct {
 	// InflationsWait counts inflations caused by a wait operation on a
 	// thin-locked object.
 	InflationsWait uint64
-	// SpinAcquisitions counts slow-path acquisitions that had to spin
-	// for a thin lock held by another thread.
-	SpinAcquisitions uint64
 	// SpinRounds counts individual back-off pauses across all spins.
 	SpinRounds uint64
 	// Deflations counts fat locks turned back into thin locks (always 0
@@ -181,10 +178,8 @@ type ThinLocks struct {
 	inflContention atomic.Uint64
 	inflOverflow   atomic.Uint64
 	inflWait       atomic.Uint64
-	spinAcq        atomic.Uint64
 	spinRounds     atomic.Uint64
 	deflations     atomic.Uint64
-	recycles       atomic.Uint64
 	queuedParks    atomic.Uint64
 	flcWakeups     atomic.Uint64
 }
@@ -234,14 +229,13 @@ func (l *ThinLocks) Stats() Stats {
 		InflationsContention: l.inflContention.Load(),
 		InflationsOverflow:   l.inflOverflow.Load(),
 		InflationsWait:       l.inflWait.Load(),
-		SpinAcquisitions:     l.spinAcq.Load(),
 		SpinRounds:           l.spinRounds.Load(),
 		Deflations:           l.deflations.Load(),
 		QueuedParks:          l.queuedParks.Load(),
 		FLCWakeups:           l.flcWakeups.Load(),
 		FatLocks:             l.table.Len(),
 		MonitorFrees:         l.table.Freed(),
-		MonitorRecycles:      l.recycles.Load(),
+		MonitorRecycles:      l.table.Recycled(),
 		LiveMonitors:         l.table.Live(),
 		TableSpan:            l.table.Span(),
 	}
@@ -402,7 +396,6 @@ func (l *ThinLocks) lockSlowBody(t *threading.Thread, o *object.Object, cpu arch
 			// to be contention for it again" (§2.3.4).
 			if arch.CAS(cpu, hp, w, w&MiscMask|shifted) {
 				if spun {
-					l.spinAcq.Add(1)
 					l.inflContention.Add(1)
 					lockevent.Inflate(t, o, lockevent.CauseContention)
 					l.inflate(t, o, 1)
@@ -489,7 +482,6 @@ func (l *ThinLocks) enterFat(m *monitor.Monitor, t *threading.Thread) bool {
 func (l *ThinLocks) inflate(t *threading.Thread, o *object.Object, locks uint32) *monitor.Monitor {
 	m := l.table.Allocate()
 	if m.RecycledIndex() {
-		l.recycles.Add(1)
 		lockevent.Count(t, lockevent.CtrMonitorRecycles)
 	}
 	m.SeedOwner(t, locks)

@@ -22,7 +22,6 @@ package hotlocks
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"thinlock/internal/lockevent"
@@ -80,18 +79,6 @@ type coldEntry struct {
 	promoting bool
 }
 
-// Stats is a snapshot of hot-lock behaviour.
-type Stats struct {
-	// HotOps counts operations served directly through a hot slot.
-	HotOps uint64
-	// ColdOps counts operations that went through the cache.
-	ColdOps uint64
-	// Promotions counts objects promoted to hot slots.
-	Promotions uint64
-	// Sweeps counts cold-cache cleanup scans.
-	Sweeps uint64
-}
-
 // HotLocks is the IBM112 locker. It implements lockapi.Locker.
 type HotLocks struct {
 	mu        sync.Mutex
@@ -100,11 +87,6 @@ type HotLocks struct {
 	nextSlot  int
 	threshold uint32
 	maxCold   int
-
-	hotOps     atomic.Uint64
-	coldOps    atomic.Uint64
-	promotions atomic.Uint64
-	sweeps     atomic.Uint64
 }
 
 // New returns a HotLocks instance with the given options.
@@ -135,16 +117,6 @@ func NewDefault() *HotLocks { return New(Options{}) }
 // Name implements lockapi.Locker.
 func (h *HotLocks) Name() string { return "IBM112" }
 
-// Stats returns a snapshot of the counters.
-func (h *HotLocks) Stats() Stats {
-	return Stats{
-		HotOps:     h.hotOps.Load(),
-		ColdOps:    h.coldOps.Load(),
-		Promotions: h.promotions.Load(),
-		Sweeps:     h.sweeps.Load(),
-	}
-}
-
 // HotCount reports how many hot slots are occupied.
 func (h *HotLocks) HotCount() int {
 	h.mu.Lock()
@@ -164,7 +136,6 @@ func (h *HotLocks) Slots() int { return len(h.slots) }
 
 // hot returns the hot monitor for a hot header word.
 func (h *HotLocks) hot(t *threading.Thread, w uint32) *monitor.Monitor {
-	h.hotOps.Add(1)
 	lockevent.Count(t, lockevent.CtrHotOps)
 	return h.slots[slotOf(w)]
 }
@@ -178,7 +149,6 @@ func (h *HotLocks) hot(t *threading.Thread, w uint32) *monitor.Monitor {
 // and the caller must retry through the hot path rather than create a
 // second monitor for o.
 func (h *HotLocks) coldLookup(t *threading.Thread, o *object.Object, create bool) (*coldEntry, int) {
-	h.coldOps.Add(1)
 	lockevent.Count(t, lockevent.CtrColdOps)
 	h.mu.Lock()
 	e := h.cold[o.ID()]
@@ -212,7 +182,6 @@ func (h *HotLocks) coldLookup(t *threading.Thread, o *object.Object, create bool
 
 // sweepLocked drops quiescent, unpinned cold entries. Caller holds h.mu.
 func (h *HotLocks) sweepLocked() {
-	h.sweeps.Add(1)
 	lockevent.Count(nil, lockevent.CtrColdSweeps)
 	for id, e := range h.cold {
 		if e.pins == 0 && !e.promoting && e.mon.Quiescent() {
@@ -269,7 +238,6 @@ func (h *HotLocks) lockBody(t *threading.Thread, o *object.Object) {
 				o.SetHeader(hotWord(slot, w))
 				delete(h.cold, o.ID())
 				h.mu.Unlock()
-				h.promotions.Add(1)
 				lockevent.Count(t, lockevent.CtrHotPromotions)
 			}
 			h.unpin(e)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"thinlock/internal/object"
+	"thinlock/internal/telemetry"
 	"thinlock/internal/testutil"
 	"thinlock/internal/threading"
 )
@@ -29,8 +30,11 @@ func (f *fixture) thread(t *testing.T) *threading.Thread {
 	return th
 }
 
+// TestColdLockUnlock: an object below the threshold is served by the
+// cold cache only. Not parallel: telemetry is process-global.
 func TestColdLockUnlock(t *testing.T) {
-	t.Parallel()
+	tel := telemetry.Enable(telemetry.New())
+	defer telemetry.Disable()
 	f := newFixture(Options{})
 	th := f.thread(t)
 	o := f.heap.New("X")
@@ -38,17 +42,20 @@ func TestColdLockUnlock(t *testing.T) {
 	if err := f.h.Unlock(th, o); err != nil {
 		t.Fatal(err)
 	}
-	s := f.h.Stats()
-	if s.ColdOps == 0 {
-		t.Error("no cold ops recorded")
+	if got := tel.Counter(telemetry.CtrColdOps); got != 2 {
+		t.Errorf("cold_ops = %d, want 2", got)
 	}
-	if s.HotOps != 0 {
-		t.Error("hot ops recorded before promotion")
+	if got := tel.Counter(telemetry.CtrHotOps); got != 0 {
+		t.Errorf("hot_ops = %d before promotion, want 0", got)
 	}
 }
 
+// TestPromotionAfterThreshold: the lock that reaches the threshold
+// promotes the object, and later operations go through the hot slot.
+// Not parallel: telemetry is process-global.
 func TestPromotionAfterThreshold(t *testing.T) {
-	t.Parallel()
+	tel := telemetry.Enable(telemetry.New())
+	defer telemetry.Disable()
 	f := newFixture(Options{Threshold: 4})
 	th := f.thread(t)
 	o := f.heap.New("X")
@@ -58,27 +65,27 @@ func TestPromotionAfterThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f.h.Stats().Promotions != 0 {
-		t.Fatal("promoted before threshold")
+	if got := tel.Counter(telemetry.CtrHotPromotions); got != 0 || f.h.HotCount() != 0 {
+		t.Fatalf("promoted before threshold: hot_promotions = %d, HotCount = %d", got, f.h.HotCount())
 	}
 	f.h.Lock(th, o) // 4th lock: promotes
 	if err := f.h.Unlock(th, o); err != nil {
 		t.Fatal(err)
 	}
-	if f.h.Stats().Promotions != 1 {
-		t.Fatalf("Promotions = %d, want 1", f.h.Stats().Promotions)
+	if got := tel.Counter(telemetry.CtrHotPromotions); got != 1 {
+		t.Fatalf("hot_promotions = %d, want 1", got)
 	}
 	if o.Header()&hotBit == 0 {
 		t.Fatal("header has no hot bit after promotion")
 	}
 	// Subsequent ops are hot.
-	before := f.h.Stats().HotOps
+	before := tel.Counter(telemetry.CtrHotOps)
 	f.h.Lock(th, o)
 	if err := f.h.Unlock(th, o); err != nil {
 		t.Fatal(err)
 	}
-	if f.h.Stats().HotOps != before+2 {
-		t.Errorf("HotOps = %d, want %d", f.h.Stats().HotOps, before+2)
+	if got := tel.Counter(telemetry.CtrHotOps); got != before+2 {
+		t.Errorf("hot_ops = %d, want %d", got, before+2)
 	}
 	if f.h.HotCount() != 1 {
 		t.Errorf("HotCount = %d, want 1", f.h.HotCount())
@@ -212,8 +219,8 @@ func TestMutualExclusionAcrossPromotion(t *testing.T) {
 	if counter != goroutines*iters {
 		t.Fatalf("counter = %d, want %d", counter, goroutines*iters)
 	}
-	if f.h.Stats().Promotions != 1 {
-		t.Errorf("Promotions = %d, want 1", f.h.Stats().Promotions)
+	if n := f.h.HotCount(); n != 1 {
+		t.Errorf("HotCount = %d, want 1 promotion", n)
 	}
 }
 
@@ -228,8 +235,9 @@ func TestColdCacheSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f.h.Stats().Sweeps == 0 {
-		t.Error("cold cache never swept under churn")
+	// Unswept, the cache would hold all 40 entries.
+	if n := f.h.ColdCount(); n > 8 {
+		t.Errorf("ColdCount = %d past MaxCold 8: cold cache never swept under churn", n)
 	}
 }
 

@@ -371,7 +371,7 @@ func TestBiasedContentionLabelledAtCaller(t *testing.T) {
 		done <- l.Unlock(contender, o)
 	}()
 	testutil.Eventually(t, 0, "contender revokes the reservation", func() bool {
-		return l.Stats().RevocationsContention > 0
+		return o.Flags()&biased.FlagBiasDead != 0
 	})
 	if err := l.Unlock(owner, o); err != nil {
 		t.Fatal(err)

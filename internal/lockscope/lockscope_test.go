@@ -70,11 +70,11 @@ func TestSampleRatesAndQuantiles(t *testing.T) {
 			// 2 contention inflations, 1 deflation, 10 parks, and a
 			// stall distribution.
 			counters: map[string]uint64{
-				"slow_path_entries":      100,
-				"cas_failures":           25,
-				"inflations_contention":  2,
-				"deflations":             1,
-				"queued_parks":           4,
+				"slow_path_entries":         100,
+				"cas_failures":              25,
+				"inflations_contention":     2,
+				"deflations":                1,
+				"queued_parks":              4,
 				"monitor_contended_entries": 6,
 			},
 			stalls: []int64{

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"thinlock/internal/lockevent"
@@ -60,10 +59,6 @@ type Monitor struct {
 	// from a free list rather than extending the index space. Set once
 	// at allocation, read-only afterwards.
 	recycledIdx bool
-
-	contended atomic.Uint64 // entries that had to queue
-	waitCount atomic.Uint64 // Wait calls
-	notifies  atomic.Uint64 // Notify + NotifyAll calls
 }
 
 // New returns a fresh unowned monitor that is not registered in any
@@ -182,7 +177,6 @@ func (m *Monitor) enterWithCount(t *threading.Thread, c uint32) bool {
 	r.Count = c
 	r.State = threading.Entering
 	m.entry = append(m.entry, t)
-	m.contended.Add(1)
 	depth := len(m.entry)
 	m.latch.Unlock()
 	lockevent.Enqueue(t, depth)
@@ -317,7 +311,6 @@ func (m *Monitor) Wait(t *threading.Thread, d time.Duration) (notified bool, err
 		t.Interrupted() // clear, as Java does when throwing
 		return false, threading.ErrInterrupted
 	}
-	m.waitCount.Add(1)
 	lockevent.Count(t, lockevent.CtrWaits)
 	r := t.WaitRecord()
 	r.Count = m.count
@@ -362,6 +355,7 @@ func (m *Monitor) Wait(t *threading.Thread, d time.Duration) (notified bool, err
 		m.latch.Unlock() // a permit from elsewhere: park again
 	}
 
+	depth := 0 // entry-queue depth when a timeout or interrupt re-queued us
 	if !notified {
 		// Timeout or interrupt: leave the wait set and re-acquire by
 		// taking the free monitor or queueing for it, at the saved
@@ -374,7 +368,7 @@ func (m *Monitor) Wait(t *threading.Thread, d time.Duration) (notified bool, err
 		} else {
 			r.State = threading.Entering
 			m.entry = append(m.entry, t)
-			m.contended.Add(1)
+			depth = len(m.entry)
 		}
 	}
 	// Granted here means the grant's permit was the one just consumed
@@ -382,6 +376,10 @@ func (m *Monitor) Wait(t *threading.Thread, d time.Duration) (notified bool, err
 	// way.
 	granted := r.State == threading.Granted
 	m.latch.Unlock()
+	if depth > 0 {
+		// A contended entry like Enter's, reported the same way.
+		lockevent.Enqueue(t, depth)
+	}
 	if !granted {
 		m.parkUntilGranted(r)
 	}
@@ -424,7 +422,6 @@ func (m *Monitor) Notify(t *threading.Thread) error {
 	if m.owner != t {
 		return ErrIllegalMonitorState
 	}
-	m.notifies.Add(1)
 	lockevent.Emit(lockevent.KindNotify, t, nil)
 	m.notifyOneLocked()
 	return nil
@@ -437,7 +434,6 @@ func (m *Monitor) NotifyAll(t *threading.Thread) error {
 	if m.owner != t {
 		return ErrIllegalMonitorState
 	}
-	m.notifies.Add(1)
 	lockevent.Emit(lockevent.KindNotify, t, nil)
 	for len(m.waits) > 0 {
 		m.notifyOneLocked()
@@ -492,12 +488,3 @@ func (m *Monitor) Quiescent() bool {
 	defer m.latch.Unlock()
 	return m.owner == nil && len(m.entry) == 0 && len(m.waits) == 0
 }
-
-// ContendedEntries reports how many Enter calls had to block.
-func (m *Monitor) ContendedEntries() uint64 { return m.contended.Load() }
-
-// Waits reports how many Wait calls were made.
-func (m *Monitor) Waits() uint64 { return m.waitCount.Load() }
-
-// Notifies reports how many Notify/NotifyAll calls were made.
-func (m *Monitor) Notifies() uint64 { return m.notifies.Load() }

@@ -1,11 +1,14 @@
 package monitor
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
+	"thinlock/internal/telemetry"
 	"thinlock/internal/testutil"
 	"thinlock/internal/threading"
 )
@@ -127,9 +130,6 @@ func TestContendedEnterBlocksAndHandsOff(t *testing.T) {
 	}
 	if m.Owner() != ths[1] || m.Count() != 1 {
 		t.Fatalf("owner=%v count=%d after handoff", m.Owner(), m.Count())
-	}
-	if m.ContendedEntries() != 1 {
-		t.Errorf("ContendedEntries = %d, want 1", m.ContendedEntries())
 	}
 }
 
@@ -568,35 +568,70 @@ func TestQuiescent(t *testing.T) {
 	}
 }
 
+// TestStatsCounters: contended entries, a Notify, and a timed Wait
+// whose timeout finds the monitor owned each reach telemetry, the
+// re-queued waiter as a contended entry like Enter's. Not parallel:
+// telemetry is process-global.
 func TestStatsCounters(t *testing.T) {
-	t.Parallel()
+	tel := telemetry.Enable(telemetry.New())
+	defer telemetry.Disable()
 	ths := newThreads(t, 2)
+	owner, waiter := ths[0], ths[1]
 	m := New()
-	m.Enter(ths[0])
+	m.Enter(owner)
+	type result struct {
+		notified bool
+		err      error
+	}
+	done := make(chan result)
 	go func() {
-		time.Sleep(20 * time.Millisecond)
-		if err := m.Exit(ths[0]); err != nil {
+		m.Enter(waiter) // contended: owner holds the monitor
+		if err := m.Notify(waiter); err != nil {
 			t.Error(err)
 		}
+		for m.EntryQueueLen() == 0 {
+			runtime.Gosched() // until owner queues behind us
+		}
+		// Wait hands the monitor to owner, which holds it across the
+		// timeout, so the waiter must queue again to re-acquire it.
+		notified, err := m.Wait(waiter, time.Millisecond)
+		if err == nil {
+			err = m.Exit(waiter)
+		}
+		done <- result{notified, err}
 	}()
-	m.Enter(ths[1]) // contended
-	if err := m.Notify(ths[1]); err != nil {
+	waitFor(t, func() bool { return m.EntryQueueLen() == 1 })
+	if err := m.Exit(owner); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Wait(ths[1], 10*time.Millisecond); err != nil {
+	// Contended: the waiter holds the monitor until its Wait. Once in,
+	// wait for the timed-out waiter to queue behind us.
+	m.Enter(owner)
+	waitFor(t, func() bool { return m.EntryQueueLen() == 1 })
+	if err := m.Exit(owner); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Exit(ths[1]); err != nil {
-		t.Fatal(err)
+	if r := <-done; r.err != nil || r.notified {
+		t.Fatalf("timed Wait = (%v, %v), want a timeout", r.notified, r.err)
 	}
-	if m.ContendedEntries() == 0 {
-		t.Error("ContendedEntries not counted")
+	if got := tel.Counter(telemetry.CtrMonitorContendedEntries); got != 3 {
+		t.Errorf("monitor_contended_entries = %d, want 3 (two Enters and the re-queued waiter)", got)
 	}
-	if m.Waits() != 1 {
-		t.Errorf("Waits = %d, want 1", m.Waits())
+	if got := tel.Counter(telemetry.CtrWaits); got != 1 {
+		t.Errorf("waits = %d, want 1", got)
 	}
-	if m.Notifies() != 1 {
-		t.Errorf("Notifies = %d, want 1", m.Notifies())
+	if got := tel.Counter(telemetry.CtrNotifies); got != 1 {
+		t.Errorf("notifies = %d, want 1", got)
+	}
+}
+
+// TestMonitorSize guards the per-monitor footprint: a monitor is its
+// latch, owner, count, two queues and index, and a counter field added
+// back would push it past 80 bytes (the next size class is 96).
+func TestMonitorSize(t *testing.T) {
+	t.Parallel()
+	if n := unsafe.Sizeof(Monitor{}); n > 80 {
+		t.Errorf("unsafe.Sizeof(Monitor{}) = %d, want <= 80", n)
 	}
 }
 

@@ -20,7 +20,6 @@ package monitorcache
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"thinlock/internal/lockevent"
@@ -53,22 +52,6 @@ type entry struct {
 	pins int
 }
 
-// Stats is a snapshot of cache behaviour counters.
-type Stats struct {
-	// Lookups counts cache consultations (every lock, unlock, wait and
-	// notify performs one).
-	Lookups uint64
-	// Misses counts lookups that had to bind a fresh monitor.
-	Misses uint64
-	// Sweeps counts free-list refills that scanned the whole pool.
-	Sweeps uint64
-	// Recycled counts monitors reclaimed by sweeps.
-	Recycled uint64
-	// Expansions counts pool growth events forced by a sweep that found
-	// nothing recyclable.
-	Expansions uint64
-}
-
 // Cache is the JDK111 locker: a global-locked object→monitor hash table
 // with a bounded monitor pool. It implements lockapi.Locker.
 type Cache struct {
@@ -76,12 +59,6 @@ type Cache struct {
 	table    map[uint64]*entry
 	free     []*entry
 	capacity int
-
-	lookups    atomic.Uint64
-	misses     atomic.Uint64
-	sweeps     atomic.Uint64
-	recycled   atomic.Uint64
-	expansions atomic.Uint64
 }
 
 // New returns a cache with the given options.
@@ -106,17 +83,6 @@ func NewDefault() *Cache { return New(Options{}) }
 // Name implements lockapi.Locker.
 func (c *Cache) Name() string { return "JDK111" }
 
-// Stats returns a snapshot of the cache counters.
-func (c *Cache) Stats() Stats {
-	return Stats{
-		Lookups:    c.lookups.Load(),
-		Misses:     c.misses.Load(),
-		Sweeps:     c.sweeps.Load(),
-		Recycled:   c.recycled.Load(),
-		Expansions: c.expansions.Load(),
-	}
-}
-
 // PoolSize reports the current monitor pool size (capacity plus any
 // forced expansions).
 func (c *Cache) PoolSize() int {
@@ -128,12 +94,10 @@ func (c *Cache) PoolSize() int {
 // lookup finds or creates the pinned entry for o. The caller must
 // eventually call unpin.
 func (c *Cache) lookup(t *threading.Thread, o *object.Object) *entry {
-	c.lookups.Add(1)
 	lockevent.Count(t, lockevent.CtrCacheLookups)
 	c.mu.Lock()
 	e, ok := c.table[o.ID()]
 	if !ok {
-		c.misses.Add(1)
 		lockevent.Count(t, lockevent.CtrCacheMisses)
 		e = c.takeFreeLocked()
 		e.objID = o.ID()
@@ -147,7 +111,6 @@ func (c *Cache) lookup(t *threading.Thread, o *object.Object) *entry {
 // lookupExisting finds and pins the entry for o, or returns nil if the
 // object has no monitor bound (it cannot be locked).
 func (c *Cache) lookupExisting(t *threading.Thread, o *object.Object) *entry {
-	c.lookups.Add(1)
 	lockevent.Count(t, lockevent.CtrCacheLookups)
 	c.mu.Lock()
 	e := c.table[o.ID()]
@@ -168,7 +131,6 @@ func (c *Cache) takeFreeLocked() *entry {
 		// Nothing recyclable: the pool must grow. The historical JDK
 		// allocated more monitor structures here; the paper notes the
 		// space overhead "may be considerable".
-		c.expansions.Add(1)
 		c.capacity++
 		return &entry{mon: monitor.New()}
 	}
@@ -181,14 +143,12 @@ func (c *Cache) takeFreeLocked() *entry {
 // monitor is quiescent and unpinned — the free-list thrash the paper
 // blames for JDK111's MultiSync slowdown. Caller holds c.mu.
 func (c *Cache) sweepLocked() {
-	c.sweeps.Add(1)
 	lockevent.Count(nil, lockevent.CtrCacheSweeps)
 	for id, e := range c.table {
 		if e.pins == 0 && e.mon.Quiescent() {
 			delete(c.table, id)
 			e.objID = 0
 			c.free = append(c.free, e)
-			c.recycled.Add(1)
 		}
 	}
 }

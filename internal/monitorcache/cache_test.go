@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"thinlock/internal/object"
+	"thinlock/internal/telemetry"
 	"thinlock/internal/testutil"
 	"thinlock/internal/threading"
 )
@@ -29,8 +30,11 @@ func (f *fixture) thread(t *testing.T) *threading.Thread {
 	return th
 }
 
+// TestLockUnlockBasic: enter and exit both consult the cache, and only
+// the first binds a monitor. Not parallel: telemetry is process-global.
 func TestLockUnlockBasic(t *testing.T) {
-	t.Parallel()
+	tel := telemetry.Enable(telemetry.New())
+	defer telemetry.Disable()
 	f := newFixture(Options{})
 	th := f.thread(t)
 	o := f.heap.New("X")
@@ -41,12 +45,11 @@ func TestLockUnlockBasic(t *testing.T) {
 	if err := f.c.Unlock(th, o); err != nil {
 		t.Fatal(err)
 	}
-	s := f.c.Stats()
-	if s.Lookups != 2 {
-		t.Errorf("Lookups = %d, want 2 (enter and exit both consult the cache)", s.Lookups)
+	if got := tel.Counter(telemetry.CtrCacheLookups); got != 2 {
+		t.Errorf("cache_lookups = %d, want 2 (enter and exit both consult the cache)", got)
 	}
-	if s.Misses != 1 {
-		t.Errorf("Misses = %d, want 1", s.Misses)
+	if got := tel.Counter(telemetry.CtrCacheMisses); got != 1 {
+		t.Errorf("cache_misses = %d, want 1", got)
 	}
 }
 
@@ -87,8 +90,12 @@ func TestUnlockOfNeverLockedObject(t *testing.T) {
 	}
 }
 
+// TestFreeListSweepWhenWorkingSetExceedsCapacity: a working set past
+// the pool sweeps the free list and recycles monitors rather than
+// growing the pool. Not parallel: telemetry is process-global.
 func TestFreeListSweepWhenWorkingSetExceedsCapacity(t *testing.T) {
-	t.Parallel()
+	tel := telemetry.Enable(telemetry.New())
+	defer telemetry.Disable()
 	f := newFixture(Options{Capacity: 8})
 	th := f.thread(t)
 	// Lock/unlock 50 distinct objects: the pool of 8 must sweep.
@@ -99,13 +106,11 @@ func TestFreeListSweepWhenWorkingSetExceedsCapacity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := f.c.Stats()
-	if s.Sweeps == 0 {
+	if tel.Counter(telemetry.CtrCacheSweeps) == 0 {
 		t.Error("working set over capacity never swept the free list")
 	}
-	if s.Recycled == 0 {
-		t.Error("sweeps recycled nothing")
-	}
+	// 50 objects bound through a pool of 8: every monitor past the
+	// eighth was a recycled one.
 	if f.c.PoolSize() != 8 {
 		t.Errorf("pool grew to %d; recyclable monitors were available", f.c.PoolSize())
 	}
@@ -120,11 +125,8 @@ func TestPoolExpandsWhenAllMonitorsHeld(t *testing.T) {
 		objs[i] = f.heap.New("X")
 		f.c.Lock(th, objs[i]) // hold all of them: nothing recyclable
 	}
-	if f.c.Stats().Expansions == 0 {
-		t.Error("holding more monitors than capacity did not expand the pool")
-	}
-	if f.c.PoolSize() <= 4 {
-		t.Errorf("PoolSize = %d, want > 4", f.c.PoolSize())
+	if f.c.PoolSize() != 6 {
+		t.Errorf("PoolSize = %d, want 6: holding more monitors than capacity must expand the pool", f.c.PoolSize())
 	}
 	for _, o := range objs {
 		if err := f.c.Unlock(th, o); err != nil {
